@@ -17,7 +17,7 @@
 //	ablation  §6.3 randomization ablation table
 //	robson    §1 motivation: OOM survival under a memory budget
 //	conc      concurrent throughput: pooled vs thread heaps, scalar vs batch
-//	pause     foreground vs background meshing: tail stalls and RSS (§4.5)
+//	pause     inline vs daemon meshing: tail stalls and RSS (§4.5)
 //	scale     free/refill throughput vs goroutine count (sharded global heap)
 //	datapath  object read/write/memset throughput vs goroutine count (lock-free VM translation)
 //	remote    producer–consumer remote frees: message-passing queues vs shard locks
@@ -327,7 +327,7 @@ func ablation() error {
 }
 
 func pause() error {
-	header("Pause: foreground vs background meshing under concurrent traffic (§4.5)")
+	header("Pause: inline vs daemon meshing under concurrent traffic (§4.5)")
 	res, err := experiments.Pause(*scale)
 	if err != nil {
 		return err
@@ -340,15 +340,15 @@ func pause() error {
 			r.SpansMeshed, stats.MiB(r.PeakRSS), r.MeanRSS/(1<<20), r.OpsPerSec)
 	}
 	if len(res.Rows) == 2 {
-		fg, bg := res.Rows[0], res.Rows[1]
-		if fg.MaxStall > 0 {
-			fmt.Printf("background max stall vs foreground: %.2fx; worst engine pause: %.2fx\n",
-				float64(bg.MaxStall)/float64(fg.MaxStall),
-				float64(bg.LongestPause)/float64(fg.LongestPause))
+		inline, daemon := res.Rows[0], res.Rows[1]
+		if inline.MaxStall > 0 {
+			fmt.Printf("daemon max stall vs inline: %.2fx; worst engine pause: %.2fx\n",
+				float64(daemon.MaxStall)/float64(inline.MaxStall),
+				float64(daemon.LongestPause)/float64(inline.LongestPause))
 		}
-		if fg.MeanRSS > 0 {
-			fmt.Printf("background mean-RSS vs foreground: %+.1f%%  (acceptance bound: within 10%%)\n",
-				100*(bg.MeanRSS-fg.MeanRSS)/fg.MeanRSS)
+		if inline.MeanRSS > 0 {
+			fmt.Printf("daemon mean-RSS vs inline: %+.1f%%  (acceptance bound: within 10%%)\n",
+				100*(daemon.MeanRSS-inline.MeanRSS)/inline.MeanRSS)
 		}
 	}
 	if *csvOut {
@@ -395,7 +395,7 @@ func scaleExp() error {
 }
 
 func frontendExp() error {
-	header("Frontend: scalar stripe+magazine path vs batch API vs pool-only hand-off")
+	header("Frontend: scalar stripe+magazine path vs batch API")
 	res, err := experiments.Frontend(*scale)
 	if err != nil {
 		return err

@@ -3,7 +3,7 @@
 // McGregor; PLDI 2019).
 //
 // The public allocator API lives in package repro/mesh: a
-// goroutine-safe Allocator backed by pooled thread heaps, explicit
+// goroutine-safe Allocator backed by stripe-cached thread heaps, explicit
 // Thread handles for pinned fast-path workers, batch malloc/free for
 // heavy-traffic callers, and a mallctl-style Control/ReadControl
 // surface for every runtime knob (see mesh/control.go for the key
@@ -19,25 +19,26 @@
 // (internal/core/remote.go) with a single CAS and recycled by the
 // owner at its next drain point, so producer–consumer pipelines take
 // no shard lock at all on the free path (toggle with the remote.queue
-// control). Scalar Allocator calls skip the pool hand-off entirely via
-// the per-stripe front end (internal/frontend): a Malloc descends
-// stripe → magazine → pool → shard — an atomic swap on a
+// control). Allocator calls take their thread heap from the per-stripe
+// front end (internal/frontend), the one heap store: a Malloc descends
+// stripe → magazine → overflow stack → shard — an atomic swap on a
 // stack-page-hashed stripe slot yields a cached thread heap, a per-size-
 // class magazine serves the object from a local array, and only a cold
-// magazine (batch refill) or a stripe collision falls through to the
-// pool and the sharded heap below (frontend.enabled and
-// frontend.magazine_objects controls). The
+// magazine (batch refill) or a stripe miss falls through to the Treiber
+// overflow stack of heaps and the sharded heap below (the
+// frontend.magazine_objects control sizes the magazines). The
 // simulated kernel's data path (internal/vm) is lock-free the same
 // way: object reads, writes, and memsets translate through a radix
 // page table of atomic PTEs validated by a seqlock generation, so no
 // byte access ever synchronizes with the allocator (§4.5.1).
-// Compaction can run inline on the free path or — with background
-// meshing enabled — on a daemon goroutine (internal/meshd, the
-// paper's §4.5 background thread) that meshes incrementally and
-// concurrently with the application, so allocation stalls scale with
-// one size class's slice (remap fix-ups bounded by the mesh.max_pause
-// control) rather than pass length, and stall only that class's
-// traffic; Allocator.Close stops the daemon. The root package hosts
+// There is one meshing pass, incremental and concurrent with the
+// application wherever it runs: one size class per step, object copies
+// off the lock behind the write barrier, and remap fix-ups bounded by
+// the mesh.max_pause control, so allocation stalls scale with one size
+// class's slice rather than pass length and stall only that class's
+// traffic. It runs inline on the free path or — with background meshing
+// enabled — on a daemon goroutine (internal/meshd, the paper's §4.5
+// background thread); Allocator.Close stops the daemon. The root package hosts
 // the repository-level
 // benchmark suite (bench_test.go): one benchmark per table/figure of
 // the paper's evaluation plus hot-path microbenchmarks of the public

@@ -3,8 +3,8 @@
 // Twelve goroutines hammer one shared Allocator with no synchronization of
 // their own — scalar and batched malloc/free, cross-goroutine frees, and
 // runtime re-tuning through the mallctl-style Control surface while
-// traffic is in flight. At the end the pool is flushed, a final compaction
-// pass runs, and the heap is integrity-checked.
+// traffic is in flight. At the end the cached heaps are flushed, a final
+// compaction pass runs, and the heap is integrity-checked.
 //
 // Run with: go run ./examples/concurrent
 package main
@@ -80,7 +80,7 @@ func main() {
 		}
 	}
 
-	// Quiesce: relinquish pooled heaps, compact, verify.
+	// Quiesce: relinquish cached heaps, compact, verify.
 	if err := a.Flush(); err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func main() {
 	fmt.Printf("%d goroutines x %d ops on one shared allocator\n", workers, opsPerWorker)
 	fmt.Printf("allocs %d, frees %d, live %d B, invalid frees %d\n",
 		st.Allocs, st.Frees, st.Live, st.InvalidFree)
-	fmt.Printf("pooled thread heaps created: %v (bounded by concurrency, not by call count)\n", created)
+	fmt.Printf("cached thread heaps created: %v (bounded by concurrency, not by call count)\n", created)
 	fmt.Printf("final mesh released %d spans; RSS %.1f KiB, mesh passes %d\n",
 		released, float64(st.RSS)/1024, st.Mesh.Passes)
 }

@@ -93,8 +93,8 @@ func Default() *LockSpec {
 			"(*" + core + ".ThreadHeap).DrainRemoteFrees": "drain points re-enter the hierarchy (shard locks, maybeMesh)",
 			"(*" + core + ".ThreadHeap).drainRemote":      "drain points re-enter the hierarchy (shard locks, maybeMesh)",
 			"(*" + core + ".GlobalHeap).maybeMesh":        "the mesh trigger may take the barrier and every lock below it",
-			"(*" + core + ".GlobalHeap).Mesh":             "a full pass takes the barrier and every lock below it",
-			"(*" + core + ".GlobalHeap).MeshBackground":   "a background slice takes the barrier and every lock below it",
+			"(*" + core + ".GlobalHeap).Mesh":             "a pass takes the barrier and every lock below it",
+			"(*" + core + ".GlobalHeap).meshClass":        "a class slice takes the barrier and the class's shard lock",
 		},
 	}
 }

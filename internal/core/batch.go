@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the batched hot-path operations. They exist to
-// amortize per-call overhead for heavy-traffic callers: one pooled-heap
+// amortize per-call overhead for heavy-traffic callers: one front-end heap
 // hand-off, one pair of atomic accounting updates, and (for non-local
 // frees) one shard-lock acquisition per size class present in the batch
 // cover a whole batch instead of one operation each. The allocation policy

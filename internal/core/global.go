@@ -64,10 +64,11 @@ type Config struct {
 	// Clock supplies time for rate limiting and pause measurement; nil uses
 	// the wall clock.
 	Clock Clock
-	// MaxPause bounds each shard-lock hold of a background meshing slice
-	// (§4.5's bounded-pause goal): the fix-up loop releases the lock once the
-	// budget is spent and continues under a fresh acquisition. 0 keeps the
-	// default (1 ms); foreground passes are never sliced.
+	// MaxPause bounds each shard-lock hold of a meshing pass's remap
+	// fix-up (§4.5's bounded-pause goal), whether the pass runs inline or
+	// on the daemon: the fix-up loop releases the lock once the budget is
+	// spent and continues under a fresh acquisition. 0 keeps the default
+	// (1 ms).
 	MaxPause time.Duration
 	// BackgroundMeshing routes the free-path mesh trigger to a registered
 	// notifier (the meshd daemon) instead of running the pass inline on the
@@ -129,13 +130,6 @@ type Config struct {
 	// the double-free and use-after-free detection window. Implies
 	// Hardening. Runtime-togglable via the harden.quarantine control.
 	Quarantine bool
-	// FrontEnd enables the per-stripe front-end cache (default true in
-	// DefaultConfig): Allocator-level calls take their thread heap from a
-	// striped slot array keyed by a goroutine-stripe hash — one uncontended
-	// swap on a stripe-private cache line — instead of the shared heap
-	// pool, which becomes the cold/overflow path. Semantics are identical
-	// either way. Runtime-togglable via the frontend.enabled control.
-	FrontEnd bool
 	// MagazineObjects is the per-size-class magazine capacity of each
 	// front-end heap (default 0 = magazines off). When positive, scalar
 	// Malloc/Free hits pop/push a stripe-local array of cached object
@@ -163,7 +157,6 @@ func DefaultConfig() Config {
 		MaxPause:        DefaultMaxPause,
 		RemoteQueues:    true,
 		OOMBackpressure: true,
-		FrontEnd:        true,
 	}
 }
 
@@ -201,9 +194,9 @@ func pauseBucket(d time.Duration) int {
 }
 
 // PauseHistogram is the distribution of meshing pauses — every interval the
-// engine held a heap shard lock (§4.5.3): a foreground pass contributes one
-// pause per size class it worked on; each background slice contributes its
-// candidate-selection and remap-fix-up critical sections. Comparable with
+// engine held a heap shard lock (§4.5.3): each class slice of a pass
+// contributes its candidate-selection and remap-fix-up critical sections.
+// Comparable with
 // ==, so snapshots diff cheaply in tests.
 type PauseHistogram struct {
 	Count   uint64        // pauses recorded
@@ -313,9 +306,9 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 // innermost, the locks are:
 //
 //	meshBarrier            — held by the meshing engine for every
-//	                         protect→remap window (a foreground pass in
-//	                         full, a background slice per class); the
-//	                         write-fault hook waits on it and nothing else.
+//	                         protect→remap window (one class slice of a
+//	                         pass); the write-fault hook waits on it and
+//	                         nothing else.
 //	classes[c].mu          — one shard lock per size class, guarding the
 //	                         class's bins, full set, registry, RNG, and all
 //	                         arena ownership updates (Register/Reassign/
@@ -375,16 +368,16 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 // the hierarchy normally — shard lock, address re-resolution — so it
 // serializes with meshing fix-ups exactly like any other non-local free.
 // Drains therefore must not run while holding any lock in the hierarchy;
-// every drain point (refill, Done, pool park/unpark, front-end stripe
-// release) calls with none held. Ordering the queue below the barrier
+// every drain point (refill, Done, front-end park/unpark) calls with
+// none held. Ordering the queue below the barrier
 // would be wrong in the other direction too: the engine never touches
 // remote queues, so no hold-and-wait cycle through them exists.
 //
 // The front-end stripe cache (internal/frontend) likewise sits outside
 // the hierarchy: a stripe hand-off is one swap/CAS on a stripe-private
 // slot performed with no lock held, and a magazine hit touches nothing
-// shared at all. Its slow paths — magazine fill and flush, stripe-miss
-// pool borrows — re-enter the hierarchy through the ordinary batch
+// shared at all. Its slow paths — magazine fill and flush, overflow-stack
+// park/unpark drains — re-enter the hierarchy through the ordinary batch
 // malloc/free entry points (shard locks, remote queues) with no lock
 // held on entry, so the stripe layer can neither invert the order nor
 // hold-and-wait against meshing.
@@ -453,8 +446,8 @@ type GlobalHeap struct {
 	lastMesh     atomic.Int64 // ns on the heap clock
 	meshDisarmed atomic.Bool  // last pass freed < MinMeshSavings
 
-	// meshInline collapses concurrent foreground free-path triggers into
-	// one pass; explicit Mesh calls bypass it.
+	// meshInline collapses concurrent inline free-path triggers into one
+	// pass; explicit Mesh calls bypass it.
 	meshInline atomic.Bool
 
 	liveBytes   atomic.Int64
@@ -565,9 +558,8 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	g.harden.SetQuarantine(cfg.Quarantine)
 	g.oomBackpressure.Store(cfg.OOMBackpressure)
 	// Mesh's write barrier: a write faulting on a protected page waits out
-	// whichever meshing mode is in flight, then retries; by then the page
-	// has been remapped read-write (§4.5.2). Every protect→remap window —
-	// a foreground pass in full, a background slice per class — is enclosed
+	// the class slice in flight, then retries; by then the page has been
+	// remapped read-write (§4.5.2). Every protect→remap window is enclosed
 	// in one meshBarrier hold, so waiting on the barrier alone guarantees
 	// the racing mesh finished its remap (§4.5.3 — the SIGSEGV handler
 	// "waits on the mesh lock"). The hook must not touch shard locks: it

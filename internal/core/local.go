@@ -19,11 +19,12 @@ import (
 //
 // Go has no hookable thread-local storage, so applications (and the
 // workload harness) hold one ThreadHeap per worker goroutine explicitly,
-// or borrow one per call from the mesh package's heap pool. A ThreadHeap
-// is not safe for concurrent use — that is the point of it — but ownership
-// may move between goroutines as long as the hand-off synchronizes (the
-// pool's lock-free free-list provides that edge). The operation counters
-// are atomic so LocalStats can be read while the heap sits idle in a pool.
+// or take one per call from the front end's stripe cache
+// (internal/frontend). A ThreadHeap is not safe for concurrent use — that
+// is the point of it — but ownership may move between goroutines as long
+// as the hand-off synchronizes (the front end's stripe swap/CAS and
+// overflow stack provide that edge). The operation counters are atomic
+// so LocalStats can be read while the heap sits parked.
 type ThreadHeap struct {
 	global   *GlobalHeap
 	rnd      *rng.RNG
@@ -42,7 +43,7 @@ type ThreadHeap struct {
 
 	// remote is this heap's MPSC remote-free queue (see remote.go): other
 	// threads post frees of objects on our attached spans here instead of
-	// taking shard locks, and we drain at refill, Done, and pool
+	// taking shard locks, and we drain at refill, Done, and front-end
 	// park/unpark. Its address is published on each attached MiniHeap.
 	remote remoteQueue
 
@@ -262,7 +263,7 @@ func (t *ThreadHeap) flushHardenPasses() {
 
 // LocalStats reports the thread's operation counts: local allocations,
 // local frees, and shuffle-vector refills. Counters are atomic, so
-// LocalStats is safe to call while the heap is parked in a pool.
+// LocalStats is safe to call while the heap is parked.
 func (t *ThreadHeap) LocalStats() (allocs, frees, refills uint64) {
 	return t.localAllocs.Load(), t.localFrees.Load(), t.refills.Load()
 }

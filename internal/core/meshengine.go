@@ -12,41 +12,54 @@ import (
 	"repro/internal/vm"
 )
 
-// This file is the meshing engine (§4.5) in both of its modes. Either way
-// the engine works one size class at a time under that class's shard lock,
-// with the mesh barrier enclosing every protect→remap window so the write
-// fault hook has a single wait point (see GlobalHeap's lock-hierarchy
-// comment).
+// This file is the meshing engine (§4.5). A pass works one size class at
+// a time, and each class slice splits into the three phases of the
+// paper's concurrent protocol (§4.5.2): candidate selection and
+// write-protection under the class's shard lock, the object copy off the
+// lock (racing writers are made to wait by the fault handler, §4.5.3),
+// and a remap fix-up under the shard lock in chunks whose holds never
+// exceed the runtime mesh.max_pause setting. The mesh barrier encloses
+// each slice's protect→remap window, so the write fault hook has a single
+// wait point (see GlobalHeap's lock-hierarchy comment), and traffic in
+// every other size class is never touched at all.
 //
-// Foreground: Mesh and the free-path trigger run a whole pass — all
-// classes back to back under the barrier, each class's plan/copy/fix-up
-// inside one shard-lock hold. This is the stop-allocation baseline the
-// meshbench pause experiment measures against, and the fallback when no
-// daemon is running. Since locks are per class, a foreground pass only
-// stalls traffic in the class currently being meshed.
-//
-// Background: MeshBackground is what the meshd daemon calls. One size
-// class per barrier window, and within a class the work splits into three
-// phases per the paper's concurrent protocol (§4.5.2): candidate selection
-// and write-protection under the shard lock, the object copy off the lock
-// (racing writers are made to wait by the fault handler, §4.5.3), and a
-// lock-bounded remap fix-up whose critical sections never exceed
-// Config.MaxPause.
+// The same pass serves every caller: an explicit Mesh, the free-path
+// trigger and the OOM emergency pass run it on the calling goroutine, and
+// the meshd daemon runs it on its own. Who runs a pass is the only thing
+// the mesh.background setting decides.
 
-// Mesh runs a full meshing pass immediately, bypassing rate limiting. The
+// Mesh runs one meshing pass on the caller's goroutine, bypassing rate
+// limiting, and returns the number of spans released. The
 // application-facing knob (the paper exposes meshing control through the
-// semi-standard mallctl API) and the experiment harness both use this.
-// It serializes with any background slice via the mesh barrier.
+// semi-standard mallctl API), the experiment harness and the meshd daemon
+// all call it. Concurrent passes serialize per class on the mesh barrier.
 func (g *GlobalHeap) Mesh() int {
-	g.meshBarrier.Lock()
-	defer g.meshBarrier.Unlock()
-	return g.meshAllBarrier()
+	if !g.meshEnabled.Load() {
+		return 0
+	}
+	released, freedBytes := 0, 0
+	for class := range g.classes {
+		r, f := g.meshClass(class)
+		released += r
+		freedBytes += f
+	}
+
+	g.meshPasses.Add(1)
+	g.spansMeshed.Add(uint64(released))
+	g.bytesFreed.Add(uint64(freedBytes))
+	g.lastMesh.Store(int64(g.clock.Now()))
+	if freedBytes < int(g.minSavings.Load()) {
+		g.meshDisarmed.Store(true)
+	}
+	// "Whenever meshing is invoked, Mesh returns pages to OS" (§4.4.1).
+	_ = g.arena.FlushDirty()
+	return released
 }
 
 // maybeMesh applies §4.5's rate limiting after a free (or free batch) has
 // reached the global heap. Called with no heap locks held: the freeing
-// goroutine has already released its shard lock, so a due foreground pass
-// acquires the barrier and shard locks fresh, and a background nudge is
+// goroutine has already released its shard lock, so a due inline pass
+// acquires the barrier and shard locks fresh, and a daemon nudge is
 // delivered outside any critical section. The whole trigger is lock-free
 // — frees in distinct classes must not re-serialize on scheduler state.
 func (g *GlobalHeap) maybeMesh() {
@@ -97,148 +110,27 @@ func (g *GlobalHeap) MeshDue() bool {
 	return g.meshPastPeriod()
 }
 
-// meshAllBarrier finds and performs meshes one size class at a time
-// (§4.5). Caller holds the mesh barrier; each class's plan, copy, and
-// fix-up run under that class's shard lock, so the pass stalls only
-// same-class traffic — and the barrier keeps write-barrier waiters out
-// until the remaps complete (§4.5.2–§4.5.3). It returns the number of
-// spans released.
-func (g *GlobalHeap) meshAllBarrier() int {
-	if !g.meshEnabled.Load() {
-		return 0
-	}
-	start := g.clock.Now()
-	freedBytes := 0
-	released := 0
-
-	for class := range g.classes {
-		cs := &g.classes[class]
-		cs.lock()
-		holdStart := g.clock.Now()
-		pairs := g.planClassLocked(cs, class)
-		if len(pairs) > 0 {
-			g.trEngine.Event(trace.EvMeshProtect, uint64(class), uint64(len(pairs)))
-		}
-		classReleased := 0
-		// Injected aborts, at the same three points the background mode
-		// exposes: after the protect phase (before any copy), mid-copy
-		// (earlier pairs settled, this and later ones discarded), and
-		// per pair between its copy and its remap. Every route is
-		// abortPairLocked, the one abort protocol.
-		abortAll := len(pairs) > 0 && g.faults.Should(faultinject.SiteMeshProtect)
-		for _, p := range pairs {
-			if abortAll || g.faults.Should(faultinject.SiteMeshCopy) {
-				abortAll = true
-				g.abortPairLocked(cs, p)
-				continue
-			}
-			// Copy the emptier span's objects into the fuller span.
-			if err := g.copyPair(p); err != nil {
-				g.abortPairLocked(cs, p)
-				if errors.Is(err, ErrHeapCorruption) {
-					// The copy's canary sweep caught a corrupt source: with
-					// the pair aborted (span re-filed, writable, unpinned),
-					// this is a safe position to contain it.
-					g.retireLocked(cs, p.src)
-				}
-				continue
-			}
-			if g.faults.Should(faultinject.SiteMeshRemap) {
-				g.abortPairLocked(cs, p)
-				continue
-			}
-			if err := g.finishPairLocked(cs, p); err != nil {
-				g.abortPairLocked(cs, p)
-				continue
-			}
-			freedBytes += p.src.SpanBytes()
-			released++
-			classReleased++
-			g.chargeStepCost()
-		}
-		if len(pairs) > 0 {
-			// Foreground passes copy and remap pair-by-pair under one
-			// hold; the phase pair closes the class's timeline window.
-			g.trEngine.Event(trace.EvMeshCopy, uint64(class), uint64(classReleased))
-			g.trEngine.Event(trace.EvMeshRemap, uint64(class), uint64(classReleased))
-		}
-		if len(pairs) > 0 {
-			// Only class visits that claimed candidates count as pauses:
-			// an empty-class visit holds the lock for a nanoseconds-long
-			// bin scan, and folding 24 of those into the histogram per
-			// pass would drown the §4.5 bounded-pause metric in
-			// bookkeeping noise.
-			g.recordPause(g.clock.Now() - holdStart)
-		}
-		cs.unlock()
-	}
-
-	elapsed := g.clock.Now() - start
-	g.meshPasses.Add(1)
-	g.spansMeshed.Add(uint64(released))
-	g.bytesFreed.Add(uint64(freedBytes))
-	g.meshTime.Add(int64(elapsed))
-	g.lastMesh.Store(int64(g.clock.Now()))
-	if freedBytes < int(g.minSavings.Load()) {
-		g.meshDisarmed.Store(true)
-	}
-	// "Whenever meshing is invoked, Mesh returns pages to OS" (§4.4.1).
-	_ = g.arena.FlushDirty()
-	return released
-}
-
-// MeshBackground runs one incremental meshing pass on the caller's
-// goroutine — the daemon's work loop. One size class is handled per
-// barrier window; allocation and free latency is bounded by the longest
-// single critical section (at most maxPause plus one pair's fix-up), not
-// by pass length. maxPause <= 0 uses the runtime mesh.max_pause setting.
-// It returns the number of spans released.
-func (g *GlobalHeap) MeshBackground(maxPause time.Duration) int {
-	if !g.meshEnabled.Load() {
-		return 0
-	}
-	if maxPause <= 0 {
-		maxPause = time.Duration(g.maxPause.Load())
-	}
-
-	released, freedBytes := 0, 0
-	for class := range g.classes {
-		r, f := g.meshClassBackground(class, maxPause)
-		released += r
-		freedBytes += f
-	}
-
-	g.meshPasses.Add(1)
-	g.spansMeshed.Add(uint64(released))
-	g.bytesFreed.Add(uint64(freedBytes))
-	g.lastMesh.Store(int64(g.clock.Now()))
-	if freedBytes < int(g.minSavings.Load()) {
-		g.meshDisarmed.Store(true)
-	}
-	_ = g.arena.FlushDirty()
-	return released
-}
-
-// meshClassBackground runs one incremental slice: all meshes found for a
-// single size class, with the copy phase concurrent with the application
+// meshClass runs one class slice of a pass: all meshes found for a single
+// size class, with the copy phase concurrent with the application
 // (§4.5.2). The mesh barrier is held for the whole protect→remap window so
 // the fault handler can make racing writers wait (§4.5.3); the class's
 // shard lock is held only for candidate selection and for fix-up chunks
-// bounded by maxPause — traffic in every other size class is never
+// bounded by mesh.max_pause — traffic in every other size class is never
 // touched at all.
-func (g *GlobalHeap) meshClassBackground(class int, maxPause time.Duration) (released, freedBytes int) {
+func (g *GlobalHeap) meshClass(class int) (released, freedBytes int) {
 	if !g.meshEnabled.Load() {
 		return 0, 0
 	}
 	g.meshBarrier.Lock()
 	defer g.meshBarrier.Unlock()
 
+	maxPause := time.Duration(g.maxPause.Load())
 	cs := &g.classes[class]
 	sliceStart := g.clock.Now()
 	cs.lock()
 	// Pauses measure lock holds — what a blocked allocation actually
-	// waits — so the timer starts after acquisition, not before (the
-	// daemon queueing behind a busy shard is not an application pause).
+	// waits — so the timer starts after acquisition, not before (a pass
+	// queueing behind a busy shard is not an application pause).
 	prepStart := g.clock.Now()
 	pairs := g.planClassLocked(cs, class)
 	if prep := g.clock.Now() - prepStart; prep > 0 || len(pairs) > 0 {
@@ -261,25 +153,24 @@ func (g *GlobalHeap) meshClassBackground(class int, maxPause time.Duration) (rel
 	// below releases the barrier. Frees may still clear source bits under
 	// the shard lock — bits only clear, so pair disjointness is preserved
 	// and the fix-up merge below sees the freshest bitmap.
-	copied := make([]bool, len(pairs))
-	corrupt := make([]bool, len(pairs))
 	nCopied := uint64(0)
-	for i, p := range pairs {
+	for i := range pairs {
+		p := &pairs[i]
 		if abortAll || g.faults.Should(faultinject.SiteMeshCopy) {
 			// Injected abort mid-copy: discard this and every later
-			// pair's copy (their copied[i] stays false); pairs already
-			// copied still finish — both halves must stay consistent.
+			// pair's copy (they stay pairPlanned); pairs already copied
+			// still finish — both halves must stay consistent.
 			abortAll = true
 			break
 		}
-		err := g.copyPair(p)
-		copied[i] = err == nil
-		if copied[i] {
+		switch err := g.copyPair(*p); {
+		case err == nil:
+			p.state = pairCopied
 			nCopied++
-		} else if errors.Is(err, ErrHeapCorruption) {
+		case errors.Is(err, ErrHeapCorruption):
 			// The copy's canary sweep caught a corrupt source; the fix-up
 			// loop retires it once the pair is aborted under the lock.
-			corrupt[i] = true
+			p.state = pairCorrupt
 		}
 	}
 	// Injected abort between copy and remap: the copies landed in dst
@@ -297,16 +188,16 @@ func (g *GlobalHeap) meshClassBackground(class int, maxPause time.Duration) (rel
 	// unattachable, and unfreeable into a bin.
 	cs.lock()
 	pauseStart := g.clock.Now()
-	for i, p := range pairs {
+	for _, p := range pairs {
 		if elapsed := g.clock.Now() - pauseStart; elapsed > maxPause {
 			g.recordPause(elapsed)
 			cs.unlock()
 			cs.lock()
 			pauseStart = g.clock.Now()
 		}
-		if abortAll || !copied[i] {
+		if abortAll || p.state != pairCopied {
 			g.abortPairLocked(cs, p)
-			if corrupt[i] {
+			if p.state == pairCorrupt {
 				g.retireLocked(cs, p.src)
 			}
 			continue
@@ -331,14 +222,24 @@ func (g *GlobalHeap) meshClassBackground(class int, maxPause time.Duration) (rel
 // span. Both are pinned and unbinned from plan until finish/abort.
 type meshPair struct {
 	dst, src *miniheap.MiniHeap
+	state    pairState
 }
+
+// pairState is how far a planned pair got through the copy phase; the
+// fix-up loop finishes pairCopied pairs and aborts the rest.
+type pairState uint8
+
+const (
+	pairPlanned pairState = iota // protected and pinned; not copied
+	pairCopied                   // every live source object is in dst
+	pairCorrupt                  // the copy's canary sweep caught a corrupt source
+)
 
 // planClassLocked selects this class's meshable pairs (§3.3) and claims
 // them: each pair's spans are removed from their occupancy bins and
 // pinned, and the source's virtual spans are write-protected — writers
 // never hold shard locks, so the write barrier (§4.5.2) is what keeps them
-// out of the copy in both meshing modes. Caller holds cs.mu and the mesh
-// barrier.
+// out of the copy. Caller holds cs.mu and the mesh barrier.
 func (g *GlobalHeap) planClassLocked(cs *classState, class int) []meshPair {
 	// Candidates: every detached, partially full span. Full spans cannot
 	// mesh with anything non-empty; empty spans are already destroyed on
@@ -400,7 +301,7 @@ func (g *GlobalHeap) protectSpans(mh *miniheap.MiniHeap, p vm.Prot) error {
 // copyPair consolidates src's live objects into dst's physical span at the
 // physical layer (§4.5, Figure 1); offsets are preserved, so no pointers
 // inside or outside the objects need updating. It runs without the shard
-// lock in the background mode — src is write-protected and both spans
+// lock — src is write-protected and both spans
 // pinned, so the only concurrent mutation is frees clearing bits, which at
 // worst copies a dead object into a slot the fix-up merge will leave
 // unallocated.
@@ -417,8 +318,8 @@ func (g *GlobalHeap) copyPair(p meshPair) error {
 		srcData = g.physWindow(p.src)
 	}
 	// meshScratch is reused across pairs so the copy loop allocates
-	// nothing; copyPair only ever runs under the mesh barrier (both
-	// engines), so the buffer is single-flight.
+	// nothing; copyPair only ever runs under the mesh barrier, so the
+	// buffer is single-flight.
 	g.meshScratch = p.src.Bitmap().AppendSetBits(g.meshScratch[:0])
 	for _, off := range g.meshScratch {
 		if srcData != nil && !g.canaryOK(srcData, p.src, off, nil) {
@@ -507,9 +408,9 @@ func (g *GlobalHeap) recordPause(d time.Duration) {
 	}
 	if budget := time.Duration(g.maxPause.Load()); d > budget {
 		// Holds past the mesh.max_pause budget are the engine's failure
-		// mode for §4.5's bounded-pause goal; flag each one. (Foreground
-		// passes are unbounded by design and simply report against the
-		// same budget.)
+		// mode for §4.5's bounded-pause goal; flag each one. A fix-up
+		// chunk passes it by at most the pair that crossed it; the
+		// plan-and-protect hold is not chunked.
 		g.trEngine.Event(trace.EvPauseOverrun, uint64(d), uint64(budget))
 	}
 	g.pauseCount.Add(1)

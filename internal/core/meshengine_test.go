@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,35 +44,111 @@ func fragmentHeap(t testing.TB, g *GlobalHeap, th *ThreadHeap, spans int) map[ui
 	return keep
 }
 
-// TestMeshPauseStatsDeterministic pins down the satellite fix: both pause
-// timing and rate limiting run off the injected Clock, so with a logical
-// clock and a per-pair step cost the pause statistics are exact.
-func TestMeshPauseStatsDeterministic(t *testing.T) {
-	const cost = time.Millisecond
-	// A long period keeps the frozen logical clock from triggering inline
-	// passes during setup; the explicit Mesh below bypasses rate limiting.
-	g, th := testHeap(t, func(c *Config) {
-		c.MeshStepCost = cost
-		c.MeshPeriod = time.Hour
-	})
-	buildMeshableSpans(t, g, th)
+// meshRun is one heap after a single meshing pass: the spans the pass
+// released and the objects that survived it, each with its written byte.
+type meshRun struct {
+	g        *GlobalHeap
+	released int
+	keep     map[uint64]byte
+}
 
-	if released := g.Mesh(); released != 1 {
-		t.Fatalf("released %d spans, want 1", released)
+// meshInlineAndDaemon builds two identical fragmented heaps and runs one
+// meshing pass on each, started the two ways a pass starts: inline, on the
+// goroutine whose global free finds the mesh period elapsed, and as the
+// daemon does it, where that free only nudges the notifier and another
+// goroutine runs the pass. The triggering free releases the lowest kept
+// address, which is dropped from keep.
+func meshInlineAndDaemon(t *testing.T, mutate func(*Config), spans int) (inline, daemon meshRun) {
+	t.Helper()
+	run := func(background bool) meshRun {
+		// The hour-long period keeps setup frees from meshing early (the
+		// logical clock never reaches it); the trigger below lowers it.
+		g, th := testHeap(t, func(c *Config) {
+			mutate(c)
+			c.MeshPeriod = time.Hour
+		})
+		keep := fragmentHeap(t, g, th, spans)
+		victim := uint64(math.MaxUint64)
+		for a := range keep {
+			victim = min(victim, a)
+		}
+		delete(keep, victim)
+		done := make(chan int, 1)
+		if background {
+			g.SetMeshNotifier(func() { go func() { done <- g.Mesh() }() })
+			g.SetBackgroundMeshing(true)
+		}
+		g.SetMeshPeriod(0)
+		if err := g.Free(victim); err != nil {
+			t.Fatal(err)
+		}
+		r := meshRun{g: g, keep: keep}
+		if background {
+			r.released = <-done
+		} else {
+			r.released = int(g.Stats().Mesh.SpansMeshed)
+		}
+		if passes := g.Stats().Mesh.Passes; passes != 1 {
+			t.Fatalf("background=%v: the trigger ran %d passes, want 1", background, passes)
+		}
+		return r
 	}
-	ms := g.Stats().Mesh
-	// One pair at 1 ms of simulated cost: the full pass held the lock for
-	// exactly 1 ms of clock time.
-	if ms.LongestPause != cost {
-		t.Fatalf("LongestPause = %v, want %v", ms.LongestPause, cost)
+	return run(false), run(true)
+}
+
+// checkSameMeshes asserts that the inline and daemon runs of one workload
+// did the same work: same spans released, same resident set.
+func checkSameMeshes(t *testing.T, inline, daemon meshRun) {
+	t.Helper()
+	if inline.released != daemon.released {
+		t.Fatalf("inline pass released %d spans, daemon pass %d (same seed, same workload)",
+			inline.released, daemon.released)
 	}
-	if ms.TotalTime != cost {
-		t.Fatalf("TotalTime = %v, want %v", ms.TotalTime, cost)
+	if ri, rd := inline.g.OS().RSSPages(), daemon.g.OS().RSSPages(); ri != rd {
+		t.Fatalf("inline RSS %d pages != daemon RSS %d pages", ri, rd)
 	}
-	want := PauseHistogram{Count: 1, Total: cost, Longest: cost}
-	want.Buckets[pauseBucket(cost)] = 1
-	if ms.Pauses != want {
-		t.Fatalf("Pauses = %+v, want %+v", ms.Pauses, want)
+}
+
+// TestMeshPauseStatsDeterministic pins the pause accounting exactly: pause
+// timing and rate limiting run off the injected Clock, so with a logical
+// clock and a per-pair step cost every hold of the pass is known in
+// advance. A class slice records one plan-and-protect hold (no simulated
+// time passes while planning) and fix-up chunks that close at the first
+// pair past max_pause, and the inline and daemon runs record the same
+// histogram.
+func TestMeshPauseStatsDeterministic(t *testing.T) {
+	const (
+		cost     = time.Millisecond
+		maxPause = 3 * cost
+	)
+	inline, daemon := meshInlineAndDaemon(t, func(c *Config) {
+		c.MeshStepCost = cost
+		c.MaxPause = maxPause
+	}, 16)
+	checkSameMeshes(t, inline, daemon)
+	released := inline.released
+	perChunk := int(maxPause/cost) + 1
+	if released <= perChunk {
+		t.Fatalf("pass released only %d spans; need more than one fix-up chunk", released)
+	}
+	unsliced := time.Duration(released) * cost
+	want := PauseHistogram{Count: 1, Total: unsliced, Longest: time.Duration(perChunk) * cost}
+	want.Buckets[pauseBucket(0)] = 1
+	for left := released; left > 0; left -= perChunk {
+		want.Count++
+		want.Buckets[pauseBucket(time.Duration(min(left, perChunk))*cost)]++
+	}
+	for name, run := range map[string]meshRun{"inline": inline, "daemon": daemon} {
+		ms := run.g.Stats().Mesh
+		if ms.Pauses != want {
+			t.Fatalf("%s: Pauses = %+v, want %+v", name, ms.Pauses, want)
+		}
+		if ms.TotalTime != unsliced {
+			t.Fatalf("%s: TotalTime = %v, want %v", name, ms.TotalTime, unsliced)
+		}
+		if ms.LongestPause > maxPause+cost || ms.LongestPause >= unsliced {
+			t.Fatalf("%s: longest pause %v, want <= %v and < %v", name, ms.LongestPause, maxPause+cost, unsliced)
+		}
 	}
 }
 
@@ -100,68 +177,50 @@ func TestPauseBuckets(t *testing.T) {
 	}
 }
 
-// TestMeshBackgroundBoundedPauses is the core of the acceptance criterion:
-// under a meshing-heavy load, the background engine's longest global-lock
-// hold stays under the max-pause budget (plus one pair's fix-up), far
-// below the duration of an equivalent foreground pass — measured
-// deterministically with the injected clock.
+// TestMeshBackgroundBoundedPauses is the core of §4.5's bounded-pause
+// goal: under a meshing-heavy load the one meshing pass does the same
+// work whether it runs inline or on the daemon side, and in both modes
+// its longest shard-lock hold stays under the max-pause budget plus one
+// pair's fix-up — far below the pairs × cost a pass holding the lock for
+// all its fix-ups would take — measured deterministically with the
+// injected clock.
 func TestMeshBackgroundBoundedPauses(t *testing.T) {
 	const (
 		cost     = time.Millisecond
 		maxPause = 3 * cost
 		spans    = 64
 	)
-
-	// Foreground reference: identical heap, one full pass under the lock.
-	// The hour-long period keeps setup frees from meshing early (the
-	// logical clock never reaches it); explicit passes ignore it.
-	mutate := func(c *Config) {
+	inline, daemon := meshInlineAndDaemon(t, func(c *Config) {
 		c.MeshStepCost = cost
-		c.MeshPeriod = time.Hour
+		c.MaxPause = maxPause
+	}, spans)
+	checkSameMeshes(t, inline, daemon)
+	if inline.released < 8 {
+		t.Fatalf("pass released only %d spans; workload not meshing-heavy", inline.released)
 	}
-	gf, thf := testHeap(t, mutate)
-	fragmentHeap(t, gf, thf, spans)
-	fgReleased := gf.Mesh()
-	if fgReleased < 8 {
-		t.Fatalf("foreground pass released only %d spans; workload not meshing-heavy", fgReleased)
-	}
-	fullPass := gf.Stats().Mesh.LongestPause
-	if fullPass != time.Duration(fgReleased)*cost {
-		t.Fatalf("foreground pause %v != %d pairs x %v", fullPass, fgReleased, cost)
-	}
-
-	// Background: same workload, incremental engine.
-	gb, thb := testHeap(t, mutate)
-	keep := fragmentHeap(t, gb, thb, spans)
-	bgReleased := gb.MeshBackground(maxPause)
-	if bgReleased != fgReleased {
-		t.Fatalf("background released %d spans, foreground %d (same seed, same workload)",
-			bgReleased, fgReleased)
-	}
-	ms := gb.Stats().Mesh
-	// Each fix-up chunk stops at the first pair that crosses the budget,
-	// so no pause exceeds maxPause + one pair's cost.
-	if ms.LongestPause > maxPause+cost {
-		t.Fatalf("background pause %v exceeds budget %v + %v", ms.LongestPause, maxPause, cost)
-	}
-	if ms.LongestPause >= fullPass {
-		t.Fatalf("background pause %v not below full-pass duration %v", ms.LongestPause, fullPass)
-	}
-	// The work was split into several pauses, all recorded.
-	if ms.Pauses.Count < uint64(bgReleased)/4 {
-		t.Fatalf("only %d pauses recorded for %d pairs", ms.Pauses.Count, bgReleased)
-	}
-	if ms.Pauses.Longest != ms.LongestPause {
-		t.Fatalf("histogram longest %v != LongestPause %v", ms.Pauses.Longest, ms.LongestPause)
-	}
-
-	// RSS savings must match the foreground pass (same meshes performed).
-	if rf, rb := gf.OS().RSSPages(), gb.OS().RSSPages(); rf != rb {
-		t.Fatalf("foreground RSS %d pages != background RSS %d pages", rf, rb)
+	unsliced := time.Duration(inline.released) * cost
+	for name, run := range map[string]meshRun{"inline": inline, "daemon": daemon} {
+		ms := run.g.Stats().Mesh
+		// Each fix-up chunk stops at the first pair that crosses the
+		// budget, so no pause exceeds maxPause + one pair's cost.
+		if ms.LongestPause > maxPause+cost {
+			t.Fatalf("%s pause %v exceeds budget %v + %v", name, ms.LongestPause, maxPause, cost)
+		}
+		if ms.LongestPause >= unsliced {
+			t.Fatalf("%s pause %v not below the unsliced %v", name, ms.LongestPause, unsliced)
+		}
+		// The work was split into several pauses, all recorded.
+		if ms.Pauses.Count < uint64(run.released)/4 {
+			t.Fatalf("%s: only %d pauses recorded for %d pairs", name, ms.Pauses.Count, run.released)
+		}
+		if ms.Pauses.Longest != ms.LongestPause {
+			t.Fatalf("%s: histogram longest %v != LongestPause %v", name, ms.Pauses.Longest, ms.LongestPause)
+		}
 	}
 
 	// The meshing invariant holds across the concurrent protocol: every
 	// surviving address reads its original byte, and frees still resolve.
+	gb, keep := daemon.g, daemon.keep
 	for addr, val := range keep {
 		b, err := gb.OS().ByteAt(addr)
 		if err != nil {
@@ -235,7 +294,7 @@ func TestBackgroundModeNudgesInsteadOfMeshing(t *testing.T) {
 
 // TestMeshBackgroundConcurrentWriters drives the §4.5.2 write-barrier
 // protocol at the core layer: writer goroutines hammer live objects while
-// background passes mesh their spans out from under them. Every write must
+// meshing passes mesh their spans out from under them. Every write must
 // either land before the copy (and be carried by it) or fault, wait out
 // the barrier, and land in the destination span.
 func TestMeshBackgroundConcurrentWriters(t *testing.T) {
@@ -293,10 +352,11 @@ func TestMeshBackgroundConcurrentWriters(t *testing.T) {
 
 	// Run background passes while the writers hammer; churning fresh
 	// fragmented spans between passes keeps meshing candidates flowing.
+	g.SetMaxPause(100 * time.Microsecond)
 	for round := 0; round < 8; round++ {
 		churn := NewThreadHeap(g, uint64(10+round))
 		fragmentHeap(t, g, churn, 8)
-		g.MeshBackground(100 * time.Microsecond)
+		g.Mesh()
 	}
 	close(stop)
 	wg.Wait()
@@ -316,21 +376,5 @@ func TestMeshBackgroundConcurrentWriters(t *testing.T) {
 	// taken the §4.5.2 fault path.
 	if st.VM.Faults == 0 {
 		t.Fatal("no write faults taken: the write barrier never engaged")
-	}
-}
-
-// BenchmarkMeshBackgroundPass measures one incremental background pass on
-// a freshly fragmented heap — the daemon's unit of work, and the
-// counterpart of BenchmarkMeshPass for the foreground engine.
-func BenchmarkMeshBackgroundPass(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Clock = NewLogicalClock()
-	cfg.MeshPeriod = time.Hour
-	g := NewGlobalHeap(cfg)
-	th := NewThreadHeap(g, 1)
-	fragmentHeap(b, g, th, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MeshBackground(0)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // cross-thread free of an object on a span attached to a live thread heap
 // posts the slot to that heap's lock-free MPSC queue. The owner drains the
 // queue on its own schedule — at the malloc slow path (refill), at Done,
-// and at pool park/unpark — recycling the slots straight into its shuffle
+// and at front-end park/unpark — recycling the slots straight into its shuffle
 // vectors. A remote free in the common case is two atomic loads (page-map
 // lookup), one atomic owner load, and a reserve/commit pair of atomic
 // increments on the head segment: zero locks, no shard ping-pong, which is
@@ -50,8 +50,8 @@ import (
 // fill the head segment in place (see remoteSeg), so steady traffic to
 // one span allocates one segment per remoteSegCap frees. Segments are
 // garbage-collected and never re-enter the stack once taken, which is
-// what makes the Treiber head ABA-safe — the same reasoning as the mesh
-// package's heap pool.
+// what makes the Treiber head ABA-safe — the same reasoning as the front
+// end's overflow stack of heaps.
 const remoteSegCap = 16
 
 // remoteSegRetired is the reserved-counter value a drain swaps in to
@@ -207,7 +207,7 @@ var _ miniheap.RemoteSink = (*remoteQueue)(nil)
 // into the class's shuffle vector (the common case — no lock, the slot is
 // immediately reusable); the rest are completed through the shard-locked
 // path by address, which also serializes correctly with meshing fix-ups.
-// Only the heap's owner may call it; the pool calls it at park and unpark,
+// Only the heap's owner may call it; the front end calls it at park and unpark,
 // and the heap itself at refill and Done.
 func (t *ThreadHeap) DrainRemoteFrees() int {
 	return t.drainRemote(t.remote.take())

@@ -25,9 +25,9 @@ func TestPauseExperiment(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
-	fg, bg := res.Rows[0], res.Rows[1]
-	if fg.Config != "foreground" || bg.Config != "background" {
-		t.Fatalf("unexpected row order: %q, %q", fg.Config, bg.Config)
+	inline, daemon := res.Rows[0], res.Rows[1]
+	if inline.Config != "inline" || daemon.Config != "daemon" {
+		t.Fatalf("unexpected row order: %q, %q", inline.Config, daemon.Config)
 	}
 	for _, r := range res.Rows {
 		if r.Ops == 0 || r.MaxStall == 0 {
@@ -37,8 +37,8 @@ func TestPauseExperiment(t *testing.T) {
 			t.Fatalf("%s: no meshing passes ran", r.Config)
 		}
 	}
-	// Background meshing must actually have recorded bounded pauses.
-	if bg.PauseCount == 0 {
-		t.Fatal("background mode recorded no pauses")
+	// Daemon meshing must actually have recorded bounded pauses.
+	if daemon.PauseCount == 0 {
+		t.Fatal("daemon mode recorded no pauses")
 	}
 }

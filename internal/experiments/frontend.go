@@ -23,9 +23,8 @@ type FrontendRow struct {
 }
 
 // FrontendResult reports scalar throughput with the per-stripe front end
-// and magazines against the two reference shapes it is judged by: the
-// explicit batch API (the ceiling scalar traffic is chasing) and the
-// pool-only scalar path (the Treiber hand-off the front end replaces).
+// and magazines against the explicit batch API, the ceiling scalar
+// traffic is chasing.
 type FrontendResult struct {
 	TotalOps int           `json:"total_ops"`
 	Rows     []FrontendRow `json:"rows"`
@@ -35,8 +34,7 @@ type FrontendResult struct {
 // default front end with magazines on: every Malloc is a stripe swap plus
 // a magazine pop, refilled in half-capacity batches. "batch" drives the
 // explicit batch-64 API through the same front end — the amortization
-// ceiling. "pool-only" disables the front end so every scalar call pays a
-// full pool borrow/return round trip, the pre-front-end behavior.
+// ceiling.
 var frontendModes = []struct {
 	name  string
 	batch int
@@ -44,16 +42,15 @@ var frontendModes = []struct {
 }{
 	{"scalar", 1, []mesh.Option{mesh.WithSeed(1), mesh.WithMagazineObjects(64)}},
 	{"batch", 64, []mesh.Option{mesh.WithSeed(1), mesh.WithMagazineObjects(64)}},
-	{"pool-only", 1, []mesh.Option{mesh.WithSeed(1), mesh.WithFrontend(false)}},
 }
 
 // Frontend measures what the per-stripe front end buys the scalar path.
-// All three modes run the same mixed-size workload over one shared
-// allocator at 1, 8, and 16 goroutines with a fixed total operation
-// count, so rows are directly comparable. The pool-borrow and
-// frontend-hit counters make the hand-off traffic visible: pool-only
-// pays one borrow per operation, while the front end should hold borrows
-// near the stripe count regardless of operation volume. After every run
+// Both modes run the same mixed-size workload over one shared allocator
+// at 1, 8, and 16 goroutines with a fixed total operation count, so rows
+// are directly comparable. The pool-borrow (stripe-miss) and
+// frontend-hit counters make the hand-off traffic visible: the front end
+// should hold borrows near the stripe count regardless of operation
+// volume. After every run
 // the heap must flush magazines and stripes back, pass an integrity
 // check, and drain to zero live bytes — the front end is only a cache,
 // never a leak.

@@ -19,23 +19,25 @@ type PauseRow struct {
 	MaxStall     time.Duration // worst single malloc/free observed
 	Passes       uint64
 	SpansMeshed  uint64
-	LongestPause time.Duration // longest global-lock hold by the engine
+	LongestPause time.Duration // longest shard-lock hold by the engine
 	PauseCount   uint64
 	PeakRSS      int64
 	MeanRSS      float64
 	Series       *stats.Series
 }
 
-// PauseResult reports the foreground-vs-background comparison.
+// PauseResult reports the inline-vs-daemon comparison.
 type PauseResult struct {
 	Rows []PauseRow
 }
 
 // Pause measures what moving meshing off the free path buys (§4.5): the
 // same concurrent malloc/free workload runs twice on a shared Mesh
-// allocator — once with inline (foreground) meshing, where a free that
-// triggers a pass stalls for the whole pass, and once with the background
-// daemon and its max-pause-bounded incremental engine. Reported per mode:
+// allocator — once with inline meshing, where a free that triggers a pass
+// runs the whole pass before it returns, and once with the background
+// daemon running the same max-pause-bounded pass instead. Both modes
+// bound every shard-lock hold the same way; what differs is who waits
+// out the pass. Reported per mode:
 // worst-case single-operation latency (the tail stall), the engine's pause
 // statistics, and the RSS trajectory sampled during the run. Wall-clock
 // numbers are machine-dependent; the accounting invariants are checked
@@ -62,12 +64,12 @@ func Pause(scale int) (*PauseResult, error) {
 		name string
 		opts []mesh.Option
 	}{
-		{"foreground", []mesh.Option{
+		{"inline", []mesh.Option{
 			mesh.WithSeed(1),
 			mesh.WithMeshPeriod(2 * time.Millisecond),
 			mesh.WithMinMeshSavings(4096),
 		}},
-		{"background", []mesh.Option{
+		{"daemon", []mesh.Option{
 			mesh.WithSeed(1),
 			mesh.WithMeshPeriod(2 * time.Millisecond),
 			mesh.WithMinMeshSavings(4096),
@@ -97,9 +99,9 @@ func Pause(scale int) (*PauseResult, error) {
 			}
 		}()
 
-		// Flusher: periodically relinquish idle pooled heaps so detached,
+		// Flusher: periodically relinquish cached heaps so detached,
 		// partially full spans keep reaching the global heap — without
-		// this the pooled workers hold their spans attached for the whole
+		// this the cached heaps hold their spans attached for the whole
 		// run and neither mode has anything to mesh.
 		stopFlusher := make(chan struct{})
 		flusherDone := make(chan struct{})
@@ -127,12 +129,11 @@ func Pause(scale int) (*PauseResult, error) {
 		}
 		series.Record(time.Since(start), ad.RSS(), ad.Live())
 
-		// One explicit quiescent-point pass per mode (through the
-		// incremental engine while the daemon runs), so short smoke-scale
-		// runs still exercise and record each engine's pause path.
+		// One explicit quiescent-point pass per mode, so short smoke-scale
+		// runs still exercise and record the pause path.
 		ad.Allocator.Mesh()
 
-		// Quiesce: stop the daemon, relinquish pooled spans, verify.
+		// Quiesce: stop the daemon, relinquish cached heaps, verify.
 		if err := ad.Allocator.Close(); err != nil {
 			return nil, fmt.Errorf("%s: close: %w", mode.name, err)
 		}

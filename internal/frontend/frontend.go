@@ -1,26 +1,26 @@
-// Package frontend implements the allocator's per-stripe front end: a
-// striped slot array of cached core.ThreadHeaps with per-size-class
-// magazine caches on top, so the Allocator-level scalar fast path stops
-// paying the shared heap-pool hand-off on every call.
+// Package frontend implements the allocator's heap store: a striped slot
+// array of cached core.ThreadHeaps with per-size-class magazine caches on
+// top and a lock-free overflow stack behind it, so Allocator-level calls
+// get a thread-local heap (§4.3) without a shared hand-off on every call.
 //
 // The layers, hot to cold:
 //
-//	goroutine ──hash──▶ stripe slot ──▶ magazine ──▶ cached ThreadHeap ──▶ heap pool ──▶ global shards
-//	            (stack   (one swap on   (array pop/   (shuffle-vector     (Treiber       (per-class
-//	             page)    a private      push, no      batch fill/flush)   overflow,      locks)
-//	                      cache line)    atomics)                          cold path)
+//	goroutine ──hash──▶ stripe slot ──▶ magazine ──▶ cached ThreadHeap ──▶ overflow stack ──▶ global shards
+//	            (stack   (one swap on   (array pop/   (shuffle-vector     (Treiber stack,     (per-class
+//	             page)    a private      push, no      batch fill/flush)   cold path)          locks)
+//	                      cache line)    atomics)
 //
 // A stripe is a padded single-heap slot keyed by a cheap goroutine hint —
 // a Fibonacci hash of the caller's stack page, so consecutive calls from
 // one goroutine land on the same stripe without runtime hooks. Acquire is
 // one atomic swap on that stripe's private cache line; release is one CAS
 // back. Distinct goroutines on distinct stripes never touch a common
-// write location, which is what kills the pool's shared slot-array and
-// Treiber-stack traffic on the scalar path. A stripe miss (empty slot) or
-// a release collision falls back to the heap pool — the pool remains the
-// overflow path and the detach target on Flush/Close, and every heap
-// still has exactly one owner at a time, so the single-owner meshing
-// invariant (§4.5.3) is untouched.
+// write location. A stripe miss (empty slot) pops a heap off the overflow
+// stack, or creates one when the stack is empty; a release whose stripe
+// is taken probes the others, and when every stripe is full the front
+// retires: its magazines flush and its heap is pushed onto the overflow
+// stack. Every heap has exactly one owner at a time, so the single-owner
+// meshing invariant (§4.5.3) is untouched.
 //
 // Magazines (off by default; frontend.magazine_objects) sit above the
 // cached heap: per size class, a fixed-capacity array of object
@@ -66,9 +66,9 @@ import (
 
 const (
 	stripeShift = 4
-	// NumStripes is the size of the stripe array. 16 matches the heap
-	// pool's slot count: past 16-way concurrency the pool was already the
-	// overflow path, and more stripes only pad more cache lines.
+	// NumStripes is the size of the stripe array. Past 16-way concurrency
+	// the overflow stack absorbs the surplus, and more stripes only pad
+	// more cache lines.
 	NumStripes = 1 << stripeShift
 	// MaxMagazineObjects caps frontend.magazine_objects; a magazine holds
 	// addresses, so the cap bounds per-front memory at
@@ -76,17 +76,15 @@ const (
 	MaxMagazineObjects = 4096
 )
 
-// Cache is the front end: NumStripes padded slots of parked Fronts plus
-// the runtime switches and counters. Borrow/ret bridge to the heap pool
-// (the cold path) without an import cycle.
+// Cache is the heap store: NumStripes padded slots of parked Fronts, the
+// overflow stack of heaps behind them, the magazine setting and the
+// counters.
 type Cache struct {
 	g      *core.GlobalHeap
 	pages  *arena.Arena
 	tr     *trace.Source
-	borrow func() *core.ThreadHeap
-	ret    func(*core.ThreadHeap)
+	nextID *atomic.Uint64 // heap IDs, shared with explicit Threads
 
-	enabled    atomic.Bool
 	magObjects atomic.Int64
 
 	// fills/flushes count magazine batch refills and drains — slow-path
@@ -95,31 +93,54 @@ type Cache struct {
 	fills   atomic.Uint64
 	flushes atomic.Uint64
 
+	// overflow is a Treiber stack of heaps that found every stripe full.
+	// Each push allocates a fresh node; Go's garbage collector makes the
+	// stack ABA-safe, because a popped node cannot be recycled at the same
+	// address while another goroutine still holds a pointer to it. Nodes
+	// are deliberately NOT recycled through a sync.Pool: reusing node
+	// memory would reintroduce the ABA hazard, and parking whole
+	// ThreadHeaps in a sync.Pool would let the collector drop them,
+	// stranding their attached spans (attached MiniHeaps are never meshing
+	// candidates, so those spans' RSS would never be reclaimed). The
+	// atomic hand-offs also provide the happens-before edge that transfers
+	// heap ownership between goroutines.
+	overflow atomic.Pointer[heapNode]
+	idle     atomic.Int64  // heaps parked on the overflow stack
+	created  atomic.Uint64 // heaps ever created
+	returns  atomic.Uint64 // heaps pushed onto the overflow stack
+
 	stripes [NumStripes]stripe
 }
 
+type heapNode struct {
+	th   *core.ThreadHeap
+	next *heapNode
+}
+
 // stripe is one padded slot. All per-operation atomics of the fast path
-// (the slot swap/CAS, the hit/miss counters, the cached-objects gauge)
-// land on this stripe-private line, so goroutines on distinct stripes
-// share no write location; the padding keeps neighbouring stripes from
-// false-sharing it back.
+// (the slot swap/CAS and the hit/miss counters) land on this
+// stripe-private line, so goroutines on distinct stripes share no write
+// location; the padding keeps neighbouring stripes from false-sharing it
+// back.
 type stripe struct {
 	slot   atomic.Pointer[Front]
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	cached atomic.Int64
-	_      [96]byte
+	_      [104]byte
 }
 
 // Front is one cached heap plus its magazines. A Front is single-owner
-// between Acquire and Release, exactly like a pool-borrowed heap — the
-// stripe swap/CAS provides the ownership hand-off edge — so every
-// non-atomic field is plain.
+// between Acquire and Release — the stripe swap/CAS provides the
+// ownership hand-off edge — so every field but parked is plain.
 type Front struct {
 	c      *Cache
 	th     *core.ThreadHeap
 	magCap int
 	cached int // total objects across all magazines
+	// parked is cached as of the front's last park, read by CachedObjects
+	// while the front sits on a stripe. It travels with the front, so a
+	// front acquired on one stripe and parked on another counts once.
+	parked atomic.Int64
 	mags   [sizeclass.NumClasses]magazine
 }
 
@@ -131,18 +152,16 @@ type magazine struct {
 	objs []uint64
 }
 
-// NewCache builds the front end over g. borrow and ret bridge stripe
-// misses and retirements to the heap pool; enabled and magObjects seed
-// the runtime switches (frontend.* controls).
-func NewCache(g *core.GlobalHeap, enabled bool, magObjects int, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
+// NewCache builds the heap store over g. magObjects seeds the magazine
+// capacity (frontend.magazine_objects); nextID numbers the heaps it
+// creates.
+func NewCache(g *core.GlobalHeap, magObjects int, nextID *atomic.Uint64) *Cache {
 	c := &Cache{
 		g:      g,
 		pages:  g.Arena(),
 		tr:     g.Tracer().NewSource(trace.SrcFrontend),
-		borrow: borrow,
-		ret:    ret,
+		nextID: nextID,
 	}
-	c.enabled.Store(enabled)
 	c.magObjects.Store(int64(clampMagObjects(magObjects)))
 	return c
 }
@@ -165,7 +184,7 @@ func clampMagObjects(n int) int {
 // probe variable never escapes (only its uintptr is taken), so the hint
 // itself allocates nothing. Collisions are correctness-neutral: two
 // goroutines on one stripe just alternate between the cached front and
-// the pool path.
+// the miss path.
 //
 //mesh:lockfree
 func stripeOf() int {
@@ -174,63 +193,97 @@ func stripeOf() int {
 	return int((p >> 10) * 0x9E3779B97F4A7C15 >> (64 - stripeShift))
 }
 
-// Acquire hands the caller its stripe's cached front, or ok=false when
-// the front end is disabled (callers then use the pool path unchanged).
-// The hit is one swap on the stripe-private line; a miss borrows a heap
-// from the pool — the only true pool borrow left on the scalar path.
+// Acquire hands the caller its stripe's cached front. The hit is one swap
+// on the stripe-private line; a miss wraps a heap from the overflow stack
+// (or a new one) in a fresh front.
 //
 //mesh:lockfree
-func (c *Cache) Acquire() (f *Front, ok bool) {
-	if !c.enabled.Load() {
-		return nil, false
-	}
+func (c *Cache) Acquire() *Front {
 	s := &c.stripes[stripeOf()]
 	if f := s.slot.Swap(nil); f != nil {
 		s.hits.Add(1)
-		return f, true
+		return f
 	}
 	s.misses.Add(1)
-	return c.newFront(), true //mesh:slowpath — stripe empty: borrow a heap from the pool
+	return c.newFront() //mesh:slowpath — stripe empty: take a heap off the overflow stack or create one
 }
 
-// newFront wraps a pool-borrowed heap in a fresh Front sized by the
-// current magazine setting.
+// newFront wraps an unparked heap in a fresh Front sized by the current
+// magazine setting.
 func (c *Cache) newFront() *Front {
-	return &Front{c: c, th: c.borrow(), magCap: int(c.magObjects.Load())}
+	return &Front{c: c, th: c.popHeap(), magCap: int(c.magObjects.Load())}
 }
 
-// Release parks f back on the caller's stripe. Like the pool's park
-// point it drains the heap's remote-free queue first, so a front never
-// parks carrying message-passed work. On a full stripe array — or with
-// the front end disabled mid-flight — the front retires: magazines flush
-// and the heap returns to the pool. The error is the joined magazine
-// flush errors (deferred invalid frees surfacing late); nil on every
-// park.
+// popHeap returns a heap off the overflow stack, creating one when the
+// stack is empty. Unparking drains the heap's remote-free queue:
+// message-passed frees that accumulated while it sat idle go back onto
+// its shuffle vectors before the caller's first allocation (the unpark
+// drain point of the remote-free protocol).
+//
+//mesh:lockfree
+func (c *Cache) popHeap() *core.ThreadHeap {
+	for {
+		n := c.overflow.Load()
+		if n == nil {
+			c.created.Add(1)
+			return core.NewThreadHeap(c.g, c.nextID.Add(1)) //mesh:slowpath — empty stack: creating a heap allocates by design
+		}
+		if c.overflow.CompareAndSwap(n, n.next) {
+			c.idle.Add(-1)
+			n.th.DrainRemoteFrees() //mesh:slowpath — the unpark drain point; settles queued frees before handing the heap out
+			return n.th
+		}
+	}
+}
+
+// pushHeap parks th on the overflow stack, publishing every write the
+// owner made. Parking drains the remote-free queue first (the park drain
+// point): frees posted while the heap was owned are settled while we
+// still own it. Pushes that land between the drain and the park wait for
+// the next pop's drain — the queue stays open while parked, because the
+// heap's attached spans remain attached (and thus never meshed).
+//
+//mesh:lockfree
+func (c *Cache) pushHeap(th *core.ThreadHeap) {
+	c.returns.Add(1)
+	th.DrainRemoteFrees()  //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
+	n := &heapNode{th: th} //mesh:slowpath — every push allocates one fresh node (ABA safety)
+	for {
+		n.next = c.overflow.Load()
+		if c.overflow.CompareAndSwap(n.next, n) {
+			c.idle.Add(1)
+			return
+		}
+	}
+}
+
+// Release parks f back on the caller's stripe, probing the other stripes
+// when that one is taken. It drains the heap's remote-free queue first,
+// so a front never parks carrying message-passed work. When every stripe
+// is full the front retires: its magazines flush and its heap goes onto
+// the overflow stack. The error is the joined magazine flush errors
+// (deferred invalid frees surfacing late); nil on every park.
 //
 //mesh:lockfree
 func (c *Cache) Release(f *Front) error {
 	f.th.DrainRemoteFrees() //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
-	if c.enabled.Load() {
-		n := int64(f.cached)
-		s := &c.stripes[stripeOf()]
-		if s.slot.CompareAndSwap(nil, f) {
-			s.cached.Store(n)
+	f.parked.Store(int64(f.cached))
+	if c.stripes[stripeOf()].slot.CompareAndSwap(nil, f) {
+		return nil
+	}
+	for i := range c.stripes {
+		if c.stripes[i].slot.Load() == nil && c.stripes[i].slot.CompareAndSwap(nil, f) {
 			return nil
 		}
-		for i := range c.stripes {
-			if c.stripes[i].slot.Load() == nil && c.stripes[i].slot.CompareAndSwap(nil, f) {
-				c.stripes[i].cached.Store(n)
-				return nil
-			}
-		}
 	}
-	return c.retire(f) //mesh:slowpath — every stripe full (or front end disabled): flush magazines, give the heap back
+	return c.retire(f) //mesh:slowpath — every stripe full: flush magazines, push the heap onto the overflow stack
 }
 
-// retire flushes f's magazines and returns its heap to the pool.
+// retire flushes f's magazines and pushes its heap onto the overflow
+// stack.
 func (c *Cache) retire(f *Front) error {
 	err := c.flushFront(f)
-	c.ret(f.th)
+	c.pushHeap(f.th)
 	return err
 }
 
@@ -247,45 +300,39 @@ func (c *Cache) flushFront(f *Front) error {
 	return errors.Join(errs...)
 }
 
-// Flush empties every stripe: parked fronts flush their magazines and
-// their heaps go back to the pool (whose own flush then relinquishes the
-// attached spans — making them meshing candidates — exactly as before
-// this layer existed). Fronts held by in-flight calls are unaffected.
+// Flush relinquishes every parked heap: stripe fronts in index order
+// (magazines flush first), then every heap on the overflow stack. Each
+// heap's Done gives its attached spans back to the global heap, making
+// them meshing candidates. Fronts held by in-flight calls are
+// unaffected; they park again as those calls finish.
 func (c *Cache) Flush() error {
 	var errs []error
 	for i := range c.stripes {
-		s := &c.stripes[i]
-		if f := s.slot.Swap(nil); f != nil {
-			if err := c.retire(f); err != nil {
-				errs = append(errs, err)
-			}
+		if f := c.stripes[i].slot.Swap(nil); f != nil {
+			errs = append(errs, c.flushFront(f), f.th.Done())
 		}
-		s.cached.Store(0)
+	}
+	for n := c.overflow.Swap(nil); n != nil; n = n.next {
+		c.idle.Add(-1)
+		errs = append(errs, n.th.Done())
 	}
 	return errors.Join(errs...)
 }
 
-// SetEnabled flips the front end at runtime. Disabling also flushes, so
-// "disabled" means what it says: no cached heaps, no cached objects, and
-// every subsequent call takes the exact pre-front-end pool path.
-func (c *Cache) SetEnabled(on bool) error {
-	c.enabled.Store(on)
-	if !on {
-		return c.Flush()
-	}
-	return nil
-}
-
-// Enabled reports whether the front end is on.
-func (c *Cache) Enabled() bool { return c.enabled.Load() }
-
 // SetMagazineObjects sets the per-class magazine capacity (clamped to
-// [0, MaxMagazineObjects]) and flushes, retiring fronts built with the
-// old capacity; fronts created afterwards use the new one. 0 disables
-// magazines while keeping the stripe layer.
+// [0, MaxMagazineObjects]) and retires every parked front built with the
+// old capacity (its heap keeps serving from the overflow stack); fronts
+// created afterwards use the new one. 0 disables magazines while keeping
+// the stripe layer.
 func (c *Cache) SetMagazineObjects(n int) error {
 	c.magObjects.Store(int64(clampMagObjects(n)))
-	return c.Flush()
+	var errs []error
+	for i := range c.stripes {
+		if f := c.stripes[i].slot.Swap(nil); f != nil {
+			errs = append(errs, c.retire(f))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // MagazineObjects returns the current per-class magazine capacity.
@@ -300,7 +347,8 @@ func (c *Cache) Hits() uint64 {
 	return n
 }
 
-// Misses counts stripe acquisitions that fell through to a pool borrow.
+// Misses counts stripe acquisitions that fell through to the overflow
+// stack or a new heap.
 func (c *Cache) Misses() uint64 {
 	var n uint64
 	for i := range c.stripes {
@@ -308,6 +356,15 @@ func (c *Cache) Misses() uint64 {
 	}
 	return n
 }
+
+// Idle counts heaps parked on the overflow stack.
+func (c *Cache) Idle() int { return int(c.idle.Load()) }
+
+// Created counts heaps ever created.
+func (c *Cache) Created() int { return int(c.created.Load()) }
+
+// Returns counts heaps pushed onto the overflow stack.
+func (c *Cache) Returns() uint64 { return c.returns.Load() }
 
 // Fills counts magazine batch refills (EvMagazineFill events).
 func (c *Cache) Fills() uint64 { return c.fills.Load() }
@@ -322,7 +379,9 @@ func (c *Cache) Flushes() uint64 { return c.flushes.Load() }
 func (c *Cache) CachedObjects() int64 {
 	var n int64
 	for i := range c.stripes {
-		n += c.stripes[i].cached.Load()
+		if f := c.stripes[i].slot.Load(); f != nil {
+			n += f.parked.Load()
+		}
 	}
 	return n
 }

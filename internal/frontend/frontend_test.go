@@ -1,52 +1,28 @@
 package frontend
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// testCache builds a Cache over a fresh global heap with counting
-// borrow/ret bridges, mirroring how mesh wires it to the heap pool.
-func testCache(t *testing.T, enabled bool, magObjects int) (*Cache, *atomic.Int64, *atomic.Int64) {
+// testCache builds a Cache over a fresh global heap, the way mesh wires
+// it.
+func testCache(t *testing.T, magObjects int) *Cache {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Clock = core.NewLogicalClock()
 	cfg.MeshPeriod = 0
-	g := core.NewGlobalHeap(cfg)
-	var nextID, borrows, rets atomic.Int64
-	borrow := func() *core.ThreadHeap {
-		borrows.Add(1)
-		return core.NewThreadHeap(g, uint64(nextID.Add(1)))
-	}
-	ret := func(th *core.ThreadHeap) {
-		rets.Add(1)
-		if err := th.Done(); err != nil {
-			t.Errorf("retiring heap: %v", err)
-		}
-	}
-	return NewCache(g, enabled, magObjects, borrow, ret), &borrows, &rets
-}
-
-func TestDisabledCacheNeverAcquires(t *testing.T) {
-	c, borrows, _ := testCache(t, false, 0)
-	if _, ok := c.Acquire(); ok {
-		t.Fatal("disabled cache handed out a front")
-	}
-	if borrows.Load() != 0 {
-		t.Fatalf("disabled cache borrowed %d heaps", borrows.Load())
-	}
+	return NewCache(core.NewGlobalHeap(cfg), magObjects, new(atomic.Uint64))
 }
 
 func TestStripeParkAndReuse(t *testing.T) {
-	c, borrows, rets := testCache(t, true, 0)
-	f, ok := c.Acquire()
-	if !ok {
-		t.Fatal("enabled cache refused to acquire")
-	}
-	if borrows.Load() != 1 || c.Misses() != 1 {
-		t.Fatalf("cold acquire: borrows=%d misses=%d, want 1/1", borrows.Load(), c.Misses())
+	c := testCache(t, 0)
+	f := c.Acquire()
+	if c.Created() != 1 || c.Misses() != 1 {
+		t.Fatalf("cold acquire: created=%d misses=%d, want 1/1", c.Created(), c.Misses())
 	}
 	p, err := f.Malloc(64)
 	if err != nil {
@@ -56,13 +32,13 @@ func TestStripeParkAndReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same goroutine, same stack page: the second acquire must hit the
-	// parked front without touching the pool bridge.
-	g, ok := c.Acquire()
-	if !ok || g != f {
-		t.Fatalf("warm acquire returned %p ok=%v, want the parked front %p", g, ok, f)
+	// parked front without creating a heap.
+	g := c.Acquire()
+	if g != f {
+		t.Fatalf("warm acquire returned %p, want the parked front %p", g, f)
 	}
-	if borrows.Load() != 1 || c.Hits() != 1 {
-		t.Fatalf("warm acquire: borrows=%d hits=%d, want 1/1", borrows.Load(), c.Hits())
+	if c.Created() != 1 || c.Hits() != 1 {
+		t.Fatalf("warm acquire: created=%d hits=%d, want 1/1", c.Created(), c.Hits())
 	}
 	if err := g.Free(p); err != nil {
 		t.Fatal(err)
@@ -70,49 +46,54 @@ func TestStripeParkAndReuse(t *testing.T) {
 	if err := c.Release(g); err != nil {
 		t.Fatal(err)
 	}
+	// Flush relinquishes the parked heap instead of keeping it: the next
+	// acquire misses and creates a fresh one.
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if rets.Load() != 1 {
-		t.Fatalf("Flush retired %d heaps, want 1", rets.Load())
-	}
-	if _, ok := c.Acquire(); !ok {
-		t.Fatal("cache refused to acquire after Flush")
+	if c.Acquire() == f || c.Created() != 2 {
+		t.Fatalf("acquire after Flush reused the flushed front (created=%d)", c.Created())
 	}
 }
 
 func TestReleaseOverflowRetires(t *testing.T) {
-	c, borrows, rets := testCache(t, true, 0)
+	c := testCache(t, 0)
 	// One goroutine acquires more fronts than there are stripes: every
 	// Acquire empties the caller's stripe, so each is a miss. Releasing
 	// all of them can park at most NumStripes fronts (own stripe + the
-	// overflow scan); the rest must retire through the pool bridge.
+	// probe); the rest must retire onto the overflow stack.
 	const extra = 3
 	fronts := make([]*Front, NumStripes+extra)
+	heaps := map[*core.ThreadHeap]bool{}
 	for i := range fronts {
-		f, ok := c.Acquire()
-		if !ok {
-			t.Fatal("acquire refused")
-		}
-		fronts[i] = f
+		fronts[i] = c.Acquire()
+		heaps[fronts[i].Heap()] = true
 	}
-	if borrows.Load() != int64(len(fronts)) {
-		t.Fatalf("borrows = %d, want %d", borrows.Load(), len(fronts))
+	if c.Created() != len(fronts) {
+		t.Fatalf("created = %d, want %d", c.Created(), len(fronts))
 	}
 	for _, f := range fronts {
 		if err := c.Release(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rets.Load() != extra {
-		t.Fatalf("overflow releases retired %d heaps, want %d", rets.Load(), extra)
+	if c.Returns() != extra || c.Idle() != extra {
+		t.Fatalf("overflow releases: returns=%d idle=%d, want %d/%d", c.Returns(), c.Idle(), extra, extra)
+	}
+	// The first acquire hits the front parked on the caller's stripe; the
+	// next one misses and must pop the overflow stack, not create a heap.
+	c.Acquire()
+	f := c.Acquire()
+	if !heaps[f.Heap()] || c.Created() != len(fronts) || c.Idle() != extra-1 {
+		t.Fatalf("miss with a non-empty overflow stack: reused=%v created=%d idle=%d",
+			heaps[f.Heap()], c.Created(), c.Idle())
 	}
 }
 
 func TestMagazineFillAndFlush(t *testing.T) {
 	const cap = 8
-	c, _, _ := testCache(t, true, cap)
-	f, _ := c.Acquire()
+	c := testCache(t, cap)
+	f := c.Acquire()
 
 	// Cold magazine: the first Malloc batch-fills half the capacity and
 	// pops one.
@@ -192,8 +173,8 @@ func TestMagazineFillAndFlush(t *testing.T) {
 }
 
 func TestMagazineRoutesIneligibleFrees(t *testing.T) {
-	c, _, _ := testCache(t, true, 8)
-	f, _ := c.Acquire()
+	c := testCache(t, 8)
+	f := c.Acquire()
 	// An address the page map cannot resolve is not magazine-eligible; it
 	// takes the heap's ordinary path and keeps its typed error.
 	if err := f.Free(0xdead0000); err == nil {
@@ -225,7 +206,7 @@ func TestMagazineRoutesIneligibleFrees(t *testing.T) {
 	if err := c.Flush(); err != nil { // settles q out of the magazine
 		t.Fatal(err)
 	}
-	f, _ = c.Acquire()
+	f = c.Acquire()
 	if err := f.Free(q); err == nil {
 		t.Fatal("double free of a settled object reported no error")
 	}
@@ -235,11 +216,11 @@ func TestMagazineRoutesIneligibleFrees(t *testing.T) {
 }
 
 func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
-	c, _, rets := testCache(t, true, MaxMagazineObjects+100)
+	c := testCache(t, MaxMagazineObjects+100)
 	if got := c.MagazineObjects(); got != MaxMagazineObjects {
 		t.Fatalf("capacity = %d, want clamped %d", got, MaxMagazineObjects)
 	}
-	f, _ := c.Acquire()
+	f := c.Acquire()
 	if f.magCap != MaxMagazineObjects {
 		t.Fatalf("front capacity = %d, want %d", f.magCap, MaxMagazineObjects)
 	}
@@ -253,15 +234,15 @@ func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
 	if err := c.Release(f); err != nil {
 		t.Fatal(err)
 	}
-	// Capacity writes flush, so no front built with the old capacity
-	// survives; the next acquire sees the new setting.
+	// Capacity writes retire parked fronts, so no front built with the
+	// old capacity survives; the next acquire sees the new setting.
 	if err := c.SetMagazineObjects(4); err != nil {
 		t.Fatal(err)
 	}
-	if rets.Load() != 1 {
-		t.Fatalf("capacity write retired %d fronts, want 1", rets.Load())
+	if c.Returns() != 1 {
+		t.Fatalf("capacity write retired %d fronts, want 1", c.Returns())
 	}
-	g, _ := c.Acquire()
+	g := c.Acquire()
 	if g.magCap != 4 {
 		t.Fatalf("new front capacity = %d, want 4", g.magCap)
 	}
@@ -276,54 +257,11 @@ func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
 	}
 }
 
-func TestDisableFlushesAndRestoresPoolPath(t *testing.T) {
-	c, _, rets := testCache(t, true, 8)
-	f, _ := c.Acquire()
-	p, err := f.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetEnabled(false); err != nil {
-		t.Fatal(err)
-	}
-	if rets.Load() != 1 {
-		t.Fatalf("disable retired %d fronts, want 1", rets.Load())
-	}
-	if c.CachedObjects() != 0 {
-		t.Fatalf("cached objects = %d after disable, want 0", c.CachedObjects())
-	}
-	if _, ok := c.Acquire(); ok {
-		t.Fatal("disabled cache handed out a front")
-	}
-}
-
-func TestReleaseAfterDisableRetires(t *testing.T) {
-	// A front acquired before the disable must retire on release, not
-	// repopulate a stripe of a disabled cache.
-	c, _, rets := testCache(t, true, 0)
-	f, _ := c.Acquire()
-	if err := c.SetEnabled(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(f); err != nil {
-		t.Fatal(err)
-	}
-	if rets.Load() != 1 {
-		t.Fatalf("in-flight front survived the disable: rets=%d", rets.Load())
-	}
-}
-
 func TestMagazineAccountingBalancesAtQuiescence(t *testing.T) {
 	// Heap-level accounting counts magazine population as allocated; the
 	// identity allocs == frees must close once the cache flushes.
-	c, _, _ := testCache(t, true, 16)
-	f, _ := c.Acquire()
+	c := testCache(t, 16)
+	f := c.Acquire()
 	var live []uint64
 	for i := 0; i < 200; i++ {
 		p, err := f.Malloc(64)
@@ -348,5 +286,77 @@ func TestMagazineAccountingBalancesAtQuiescence(t *testing.T) {
 	}
 	if c.CachedObjects() != 0 {
 		t.Fatalf("cached objects = %d after Flush, want 0", c.CachedObjects())
+	}
+}
+
+// onOtherStripe runs fn on a goroutine whose stack sits on a different
+// stripe than avoid, recursing through padded frames until the stack
+// pointer has moved to a page that hashes elsewhere.
+func onOtherStripe(avoid int, fn func()) {
+	done := make(chan struct{})
+	var descend func(depth int)
+	descend = func(depth int) {
+		var pad [1024]byte
+		if stripeOf() == avoid && depth < 256 {
+			descend(depth + 1)
+			pad[depth%len(pad)]++
+			return
+		}
+		fn()
+	}
+	go func() {
+		defer close(done)
+		descend(0)
+	}()
+	<-done
+}
+
+// TestCachedObjectsCountsMigratedFrontOnce is the regression for a front
+// that migrates stripes between calls: acquired on one stripe and parked
+// on another (a goroutine whose stack grew, or a different goroutine), it
+// must be counted once by stats.frontend.cached_objects, not once per
+// stripe it has visited.
+func TestCachedObjectsCountsMigratedFrontOnce(t *testing.T) {
+	c := testCache(t, 8)
+	home := stripeOf()
+	f := c.Acquire()
+	p, err := f.Malloc(64) // cold fill: half the capacity, one popped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(f); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(f.cached)
+	if want == 0 || c.CachedObjects() != want {
+		t.Fatalf("parked front: CachedObjects=%d, front.cached=%d", c.CachedObjects(), want)
+	}
+	f = c.Acquire() // hit: empties the home stripe
+	var rerr error
+	onOtherStripe(home, func() {
+		if stripeOf() == home {
+			rerr = errors.New("could not leave the home stripe")
+			return
+		}
+		rerr = c.Release(f)
+	})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if got := c.CachedObjects(); got != want {
+		t.Fatalf("migrated front: CachedObjects=%d, want %d (front.cached=%d)", got, want, f.cached)
+	}
+	f = c.Acquire() // misses the home stripe: a second front
+	if err := f.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CachedObjects(); got != 0 {
+		t.Fatalf("CachedObjects=%d after Flush, want 0", got)
 	}
 }

@@ -14,11 +14,12 @@
 //     model of §1) and RSS crosses PressurePct of it, a pass runs even if
 //     the rate limiter says not due — compaction is the OOM escape hatch.
 //
-// Work is delegated to core.GlobalHeap.MeshBackground, the incremental
-// engine: one size class per barrier window, holding only that class's
-// shard lock (traffic in every other size class is never stalled at all),
-// object copies performed off the lock under the §4.5.2 write-protection
-// barrier, and every lock hold bounded by the heap's max-pause setting.
+// Work is delegated to core.GlobalHeap.Mesh, the one meshing pass: one
+// size class per barrier window, holding only that class's shard lock
+// (traffic in every other size class is never stalled at all), object
+// copies performed off the lock under the §4.5.2 write-protection barrier,
+// and every fix-up lock hold bounded by the heap's mesh.max_pause setting.
+// The daemon changes who runs a pass, not what the pass does.
 package meshd
 
 import (
@@ -46,9 +47,6 @@ const (
 // Config parameterizes a Daemon. The zero value is usable: every field
 // has a default.
 type Config struct {
-	// MaxPause bounds each shard-lock hold of a pass; <= 0 uses the
-	// heap's runtime mesh.max_pause setting.
-	MaxPause time.Duration
 	// PollInterval is the wall-clock wake-up granularity of the period
 	// timer; <= 0 derives it from the heap's mesh period, clamped to
 	// [1ms, 1s]. (The rate limit itself is evaluated against the heap's
@@ -129,9 +127,9 @@ func (d *Daemon) Start() {
 	go d.supervise(d.stop, d.done)
 }
 
-// Stop halts the daemon and restores inline (foreground) meshing. It
-// blocks until any in-flight pass finishes, so after Stop returns no
-// daemon work races the caller. Idempotent.
+// Stop halts the daemon and restores inline meshing on the freeing
+// goroutine. It blocks until any in-flight pass finishes, so after Stop
+// returns no daemon work races the caller. Idempotent.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -158,12 +156,12 @@ func (d *Daemon) Nudge() {
 	}
 }
 
-// RunPass runs one incremental pass synchronously on the caller's
-// goroutine, bypassing the rate limiter — deterministic hook for tests and
+// RunPass runs one pass synchronously on the caller's goroutine,
+// bypassing the rate limiter — deterministic hook for tests and
 // experiments. It is safe alongside a running daemon (passes serialize on
 // the mesh barrier per size class).
 func (d *Daemon) RunPass() int {
-	released := d.g.MeshBackground(d.cfg.MaxPause)
+	released := d.g.Mesh()
 	d.spansReleased.Add(uint64(released))
 	return released
 }
@@ -190,8 +188,8 @@ func (d *Daemon) Restarts() uint64 { return d.restarts.Load() }
 // fault — recovers, counts the restart, waits out a capped exponential
 // backoff (interruptible by Stop), and runs the loop again. A panicked
 // pass holds no heap locks at the panic sites (the engine releases its
-// locks before returning), so the heap stays usable and foreground
-// meshing keeps working while the daemon is down. Background meshing is
+// locks before returning), so the heap stays usable and inline meshing
+// keeps working while the daemon is down. Background meshing is
 // a performance feature; losing the goroutine forever to one panic
 // would silently turn the allocator into its no-daemon configuration.
 func (d *Daemon) supervise(stop, done chan struct{}) {

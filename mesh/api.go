@@ -1,32 +1,21 @@
 package mesh
 
-import (
-	"time"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // This file carries the rest of the interposed libc surface (§4) on the
-// public types, plus the deprecated predecessors of the Control surface.
-// Allocator-level calls take the front end's stripe-cached heap (falling
-// back to a pool borrow) and are safe for concurrent use; Thread-level
-// calls run on the pinned heap. These composite operations use the
-// cached heap directly rather than the magazines — their inner
-// mallocs/frees are not the scalar hot path — so they keep the locked
-// path's full error detection.
+// public types. Allocator-level calls take the front end's stripe-cached
+// heap and are safe for concurrent use; Thread-level calls run on the
+// pinned heap. These composite operations use the cached heap directly
+// rather than the magazines — their inner mallocs/frees are not the
+// scalar hot path — so they keep the locked path's full error detection.
 
 // Calloc allocates n objects of size bytes each, zeroed.
 func (a *Allocator) Calloc(n, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Heap().Calloc(n, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Heap().Calloc(n, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.Calloc(n, size)
-	a.pool.release(th)
 	return p, err
 }
 
@@ -34,32 +23,22 @@ func (a *Allocator) Calloc(n, size int) (Ptr, error) {
 // realloc semantics, including Realloc(0, n) = Malloc and Realloc(p, 0) =
 // Free).
 func (a *Allocator) Realloc(p Ptr, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		q, err := f.Heap().Realloc(p, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return q, err
+	f := a.front.Acquire()
+	q, err := f.Heap().Realloc(p, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	q, err := th.Realloc(p, size)
-	a.pool.release(th)
 	return q, err
 }
 
 // AlignedAlloc allocates size bytes aligned to align (a power of two up to
 // the page size).
 func (a *Allocator) AlignedAlloc(align, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Heap().AlignedAlloc(align, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Heap().AlignedAlloc(align, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.AlignedAlloc(align, size)
-	a.pool.release(th)
 	return p, err
 }
 
@@ -100,25 +79,3 @@ func (a *Allocator) LargeObjectStats() LargeStats { return a.g.LargeStatsSnapsho
 // the debug.check_invariants control, which returns the violation text
 // (or "") instead of an error.
 func (a *Allocator) CheckIntegrity() error { return a.g.CheckIntegrity() }
-
-// SetMeshPeriod adjusts the meshing rate limit at runtime.
-//
-// Deprecated: use Control("mesh.period", d).
-func (a *Allocator) SetMeshPeriod(d time.Duration) { _ = a.Control("mesh.period", d) }
-
-// SetMeshingEnabled toggles compaction at runtime.
-//
-// Deprecated: use Control("mesh.enabled", enabled).
-func (a *Allocator) SetMeshingEnabled(enabled bool) { _ = a.Control("mesh.enabled", enabled) }
-
-// SetMemoryLimit caps the simulated resident memory at limit bytes
-// (rounded down to whole pages); allocations beyond it fail, modeling a
-// memory control group or a constrained device (§1). Pass 0 to remove.
-//
-// Deprecated: use Control("os.memory_limit", limit).
-func (a *Allocator) SetMemoryLimit(limit int64) {
-	if limit < 0 {
-		limit = 0
-	}
-	_ = a.Control("os.memory_limit", limit)
-}

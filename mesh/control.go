@@ -22,17 +22,16 @@ import (
 //	mesh.period       time.Duration   rw        min interval between meshing passes (§4.5)
 //	mesh.enabled      bool            rw        compaction engine on/off (§6.3 "no meshing")
 //	mesh.background   bool            rw        background daemon on/off (§4.5 dedicated meshing thread)
-//	mesh.max_pause    time.Duration   rw        per-slice lock-hold bound of background passes
+//	mesh.max_pause    time.Duration   rw        lock-hold bound of each remap fix-up chunk of a meshing pass, inline or daemon
 //	mesh.min_savings  int (bytes)     rw        pass-productivity threshold that disarms the timer (§4.5)
 //	mesh.split_t      int             rw        SplitMesher probe budget (§3.3, paper t=64)
 //	mesh.compact      (ignored)       w         force a full meshing pass now
 //	remote.queue      bool            rw        message-passing remote frees on/off (off = always use the shard-locked path, restoring cross-thread double-free detection)
 //	os.memory_limit   int64 (bytes)   rw        resident-memory cap, 0 = unlimited (§1); rounded down to pages
-//	pool.idle         int             r         thread heaps parked in the pool
-//	pool.created      int             r         thread heaps ever created by the pool
-//	pool.flush        (ignored)       w         relinquish idle pooled heaps (= Flush)
-//	frontend.enabled  bool            rw        per-stripe front-end heap cache on/off (off also flushes the stripes; every call then borrows from the pool)
-//	frontend.magazine_objects int     rw        per-size-class magazine capacity in objects, 0 = magazines off; max frontend.MaxMagazineObjects; writing flushes cached fronts
+//	pool.idle         int             r         thread heaps parked on the front end's overflow stack
+//	pool.created      int             r         thread heaps ever created by the front end
+//	pool.flush        (ignored)       w         relinquish every cached heap (= Flush)
+//	frontend.magazine_objects int     rw        per-size-class magazine capacity in objects, 0 = magazines off; max frontend.MaxMagazineObjects; writing retires parked fronts (their magazines flush)
 //	stats.rss         int64           r         resident physical bytes
 //	stats.live        int64           r         live object bytes
 //	stats.allocs      uint64          r         total allocations
@@ -45,10 +44,10 @@ import (
 //	stats.vm.retries  uint64          r         seqlock retries on the data path (health metric: ≈0 is healthy)
 //	stats.remote.queued uint64        r         frees message-passed to owner queues (no shard lock taken)
 //	stats.remote.drained uint64       r         queued frees settled by owners; equals queued at quiescence
-//	stats.pool.borrows uint64         r         thread-heap hand-offs out of the pool (stripe misses only while the front end is on)
-//	stats.pool.returns uint64         r         thread-heap hand-offs back into the pool
-//	stats.frontend.hits uint64        r         Allocator-level calls served by a stripe-cached heap (no pool hand-off)
-//	stats.frontend.misses uint64      r         Allocator-level calls that fell through to a pool borrow
+//	stats.pool.borrows uint64         r         stripe misses: heaps taken off the overflow stack or created (= stats.frontend.misses)
+//	stats.pool.returns uint64         r         heaps pushed onto the overflow stack (every stripe full)
+//	stats.frontend.hits uint64        r         Allocator-level calls served by a stripe-cached heap
+//	stats.frontend.misses uint64      r         Allocator-level calls that found their stripe empty
 //	stats.frontend.fills uint64       r         magazine refills from the heap (one batched alloc each)
 //	stats.frontend.flushes uint64     r         magazine flushes back to the heap (one batched free each)
 //	stats.frontend.cached_objects int64 r       objects currently parked in stripe magazines (allocs - frees skew; 0 after Flush)
@@ -179,9 +178,6 @@ var controls = map[string]control{
 		get: func(a *Allocator) (any, error) { return a.g.SplitMesherT(), nil },
 	},
 	"mesh.compact": {
-		// Route through Allocator.Mesh so a running daemon serves the pass
-		// with the incremental engine (bounded pauses), like explicit Mesh
-		// calls.
 		set: func(a *Allocator, _ any) error { a.Mesh(); return nil },
 	},
 	"remote.queue": {
@@ -216,23 +212,13 @@ var controls = map[string]control{
 		get: func(a *Allocator) (any, error) { return a.g.OS().MemoryLimit() * PageSize, nil },
 	},
 	"pool.idle": {
-		get: func(a *Allocator) (any, error) { return int(a.pool.idle.Load()), nil },
+		get: func(a *Allocator) (any, error) { return a.front.Idle(), nil },
 	},
 	"pool.created": {
-		get: func(a *Allocator) (any, error) { return int(a.pool.created.Load()), nil },
+		get: func(a *Allocator) (any, error) { return a.front.Created(), nil },
 	},
 	"pool.flush": {
-		set: func(a *Allocator, _ any) error { return a.pool.flush() },
-	},
-	"frontend.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			return a.front.SetEnabled(b)
-		},
-		get: func(a *Allocator) (any, error) { return a.front.Enabled(), nil },
+		set: func(a *Allocator, _ any) error { return a.Flush() },
 	},
 	"frontend.magazine_objects": {
 		set: func(a *Allocator, v any) error {
@@ -294,10 +280,10 @@ var controls = map[string]control{
 		get: func(a *Allocator) (any, error) { return a.g.ShardAcquires(), nil },
 	},
 	"stats.pool.borrows": {
-		get: func(a *Allocator) (any, error) { return a.pool.borrows.Load(), nil },
+		get: func(a *Allocator) (any, error) { return a.front.Misses(), nil },
 	},
 	"stats.pool.returns": {
-		get: func(a *Allocator) (any, error) { return a.pool.returns.Load(), nil },
+		get: func(a *Allocator) (any, error) { return a.front.Returns(), nil },
 	},
 	"trace.enabled": {
 		set: func(a *Allocator, v any) error {

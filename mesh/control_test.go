@@ -31,7 +31,6 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "pool.idle", want: 0, readback: true},
 		{key: "pool.created", want: 0, readback: true},
 		{key: "pool.flush", set: struct{}{}},
-		{key: "frontend.enabled", set: true, want: true, readback: true},
 		{key: "frontend.magazine_objects", set: 64, want: 64, readback: true},
 		// No Allocator-level call has run, so the stripes are untouched.
 		{key: "stats.frontend.hits", want: uint64(0), readback: true},
@@ -167,8 +166,6 @@ func TestControlBadTypes(t *testing.T) {
 		{"harden.audit_spans", int64(-1)},
 		{"harden.audit_spans", "all"},
 		{"harden.audit_spans", 1.5},
-		{"frontend.enabled", 1},
-		{"frontend.enabled", "on"},
 		{"frontend.magazine_objects", int64(-1)},
 		{"frontend.magazine_objects", "many"},
 		{"frontend.magazine_objects", frontend.MaxMagazineObjects + 1},
@@ -210,8 +207,8 @@ func TestControlBadTypes(t *testing.T) {
 		t.Fatalf("rejected harden.audit_spans write clobbered the budget: %v", got)
 	}
 
-	// Same for the front end: rejected writes leave the capacity (and the
-	// enable switch, which defaults on) untouched.
+	// Same for the front end: rejected writes leave the capacity
+	// untouched.
 	if err := a.Control("frontend.magazine_objects", 32); err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +217,6 @@ func TestControlBadTypes(t *testing.T) {
 	}
 	if got, _ := a.ReadControl("frontend.magazine_objects"); got != 32 {
 		t.Fatalf("rejected frontend.magazine_objects write clobbered the capacity: %v", got)
-	}
-	if got, _ := a.ReadControl("frontend.enabled"); got != true {
-		t.Fatalf("rejected frontend writes flipped frontend.enabled to %v", got)
 	}
 }
 
@@ -466,26 +460,6 @@ func TestContentionIntrospection(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDeprecatedWrappersStillWork pins the compatibility contract: the old
-// setter methods must keep compiling and steering the same state as the
-// Control surface.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	a := New()
-	a.SetMeshPeriod(123 * time.Millisecond)
-	if got, _ := a.ReadControl("mesh.period"); got != 123*time.Millisecond {
-		t.Fatalf("SetMeshPeriod not visible through ReadControl: %v", got)
-	}
-	a.SetMeshingEnabled(false)
-	if got, _ := a.ReadControl("mesh.enabled"); got != false {
-		t.Fatalf("SetMeshingEnabled not visible through ReadControl: %v", got)
-	}
-	a.SetMemoryLimit(8 * PageSize)
-	if got, _ := a.ReadControl("os.memory_limit"); got != int64(8*PageSize) {
-		t.Fatalf("SetMemoryLimit not visible through ReadControl: %v", got)
-	}
-	a.SetMemoryLimit(0)
 }
 
 // TestVMCounterShapes pins the translation/retry counters to traffic

@@ -21,7 +21,7 @@ import (
 // TestFrontendStripeMigrationStress drives Allocator-level scalar traffic
 // from many goroutines so fronts bounce between stripes (every Acquire
 // empties a slot; Gosched interleaves goroutines onto contended stripes
-// and through the pool fallback), while a share of pointers crosses
+// and through the overflow stack), while a share of pointers crosses
 // goroutines so magazine flushes push remote frees. Contents carried
 // across the hand-off prove no write was lost.
 func TestFrontendStripeMigrationStress(t *testing.T) {
@@ -123,10 +123,10 @@ func TestFrontendStripeMigrationStress(t *testing.T) {
 
 // TestFrontendFlushRacesMeshingAndRetirement storms the reconfiguration
 // surface while scalar traffic runs: Flush retires fronts mid-flight,
-// magazine capacity writes retire and rebuild them, enable toggles swap
-// the whole layer in and out, and foreground meshing passes race the
-// flushes' batch frees. Every combination must land on the same closed
-// books.
+// magazine capacity writes retire and rebuild them, a Flush chased by a
+// capacity write empties the stripes and resizes the fronts that refill
+// them, and inline meshing passes race the flushes' batch frees. Every
+// combination must land on the same closed books.
 func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 	a := New(WithSeed(43), WithMagazineObjects(8))
 	defer a.Close()
@@ -159,8 +159,12 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 					return
 				}
 			case 2:
-				if err := a.Control("frontend.enabled", i/4%2 == 0); err != nil {
-					t.Errorf("racing enable toggle: %v", err)
+				if err := a.Flush(); err != nil {
+					t.Errorf("racing Flush: %v", err)
+					return
+				}
+				if err := a.Control("frontend.magazine_objects", caps[(i/4+1)%len(caps)]); err != nil {
+					t.Errorf("racing capacity write after Flush: %v", err)
 					return
 				}
 			default:
@@ -208,9 +212,6 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 	churn.Wait()
 	if t.Failed() {
 		return
-	}
-	if err := a.Control("frontend.enabled", true); err != nil {
-		t.Fatal(err)
 	}
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)

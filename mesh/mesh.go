@@ -24,13 +24,13 @@
 // call takes a thread-local heap (§4.3) from the per-stripe front end —
 // a goroutine-stripe hash picks a padded slot, one uncontended swap
 // acquires the cached heap, one CAS parks it again — falling back to a
-// lock-free heap pool on stripe misses, so concurrent Mallocs proceed in
-// parallel on distinct heaps with no shared hand-off traffic in steady
-// state (see internal/frontend; frontend.enabled restores the pure pool
-// path). Frees of objects owned by other heaps are message-passed: posted to the
-// owning heap's lock-free remote-free queue (two atomic loads and a CAS,
-// no lock) and recycled by the owner at its next drain point — the malloc
-// slow path, thread exit, or pool park/unpark. Only frees of detached
+// lock-free overflow stack of heaps on stripe misses, so concurrent
+// Mallocs proceed in parallel on distinct heaps with no shared hand-off
+// traffic in steady state (see internal/frontend). Frees of objects owned
+// by other heaps are message-passed: posted to the owning heap's
+// lock-free remote-free queue (two atomic loads and a CAS, no lock) and
+// recycled by the owner at its next drain point — the malloc slow path,
+// thread exit, or a front-end park/unpark. Only frees of detached
 // spans and large objects take the shard-locked global-heap path
 // (§4.4.4). The message-passing path can be disabled at runtime with
 // Control("remote.queue", false), which restores the fully locked remote
@@ -81,31 +81,33 @@
 //
 // # Background meshing
 //
-// By default compaction runs inline: a free that reaches the global heap
-// may trigger a whole meshing pass while holding the global lock, stalling
-// every allocating goroutine for the pass (the synchronous baseline). With
-// background meshing — mesh.New(mesh.WithBackgroundMeshing(true)), or
-// Control("mesh.background", true) at runtime — compaction moves to a
-// daemon goroutine (§4.5's dedicated background thread):
+// There is one meshing pass, and it is incremental wherever it runs:
 //
-//   - Triggers: the mesh-period timer, free-pressure nudges from the
-//     global heap (non-blocking; the freeing goroutine never meshes), and
-//     memory pressure when RSS nears a configured os.memory_limit.
-//   - Incremental passes: one size class per step, so lock holds scale
-//     with a single class's candidates rather than the whole heap, and
-//     the remap fix-up's global-lock holds are additionally bounded by
-//     mesh.max_pause (default 1 ms) — allocation and free latency no
-//     longer depends on pass length.
+//   - One size class per step, holding only that class's shard lock, so
+//     traffic in every other class is never stalled and lock holds scale
+//     with a single class's candidates rather than the whole heap; the
+//     remap fix-up's holds are additionally bounded by mesh.max_pause
+//     (default 1 ms), so allocation and free latency does not depend on
+//     pass length.
 //   - Concurrent copies (§4.5.2): source spans are write-protected and
 //     objects copied off-lock; reads proceed throughout, racing writers
 //     fault and wait until the remap publishes the consolidated span
 //     (§4.5.3), then retry successfully. Object contents and addresses
 //     are never disturbed.
 //
+// By default the pass runs inline: a free that reaches the global heap
+// with a mesh period elapsed runs it on the freeing goroutine. With
+// background meshing — mesh.New(mesh.WithBackgroundMeshing(true)), or
+// Control("mesh.background", true) at runtime — a daemon goroutine runs
+// it instead (§4.5's dedicated background thread), woken by the
+// mesh-period timer, by free-pressure nudges from the global heap
+// (non-blocking; the freeing goroutine never meshes), and by memory
+// pressure when RSS nears a configured os.memory_limit.
+//
 // Close stops the daemon (idempotent; the allocator remains usable with
 // inline meshing). Pause behaviour is observable through
 // Stats().Mesh.Pauses or ReadControl("stats.mesh.pauses"), a fixed-bucket
-// histogram of every global-lock hold by the engine.
+// histogram of every shard-lock hold by the engine.
 //
 // # Robustness and fault injection
 //
@@ -149,7 +151,6 @@
 package mesh
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -211,7 +212,7 @@ type RemoteStats = core.RemoteStats
 type HardenStats = harden.Stats
 
 // PauseHistogram is the distribution of meshing pauses — every interval
-// the engine held the allocator's global lock. Read it from
+// the engine held a size class's shard lock. Read it from
 // Stats().Mesh.Pauses or ReadControl("stats.mesh.pauses").
 type PauseHistogram = core.PauseHistogram
 
@@ -297,15 +298,15 @@ func WithDirtyPageThreshold(pages int) Option {
 // WithBackgroundMeshing starts the allocator with the background meshing
 // daemon running (§4.5: compaction on a dedicated thread, concurrent with
 // the application): frees nudge the daemon instead of running a pass
-// inline, and passes are incremental, with every allocation stall bounded
-// by the max-pause setting instead of pass length. Toggle at runtime with
-// Control("mesh.background", bool); stop the daemon with Close.
+// inline. Toggle at runtime with Control("mesh.background", bool); stop
+// the daemon with Close.
 func WithBackgroundMeshing(enabled bool) Option {
 	return func(c *core.Config) { c.BackgroundMeshing = enabled }
 }
 
-// WithMaxMeshPause bounds each global-lock hold of a background meshing
-// pass (default 1 ms). Runtime-adjustable via Control("mesh.max_pause", d).
+// WithMaxMeshPause bounds each shard-lock hold of a meshing pass's remap
+// fix-up, inline or on the daemon (default 1 ms). Runtime-adjustable via
+// Control("mesh.max_pause", d).
 func WithMaxMeshPause(d time.Duration) Option {
 	return func(c *core.Config) { c.MaxPause = d }
 }
@@ -393,17 +394,6 @@ func WithQuarantine(enabled bool) Option {
 	return func(c *core.Config) { c.Quarantine = enabled }
 }
 
-// WithFrontend starts the allocator with the per-stripe front-end cache
-// on (the default) or off. On, Allocator-level calls take their thread
-// heap from a goroutine-striped slot array — one uncontended swap on a
-// stripe-private cache line — and the heap pool serves only stripe
-// misses and overflow. Off, every call pays the pool borrow/return round
-// trip (the pre-front-end behavior, bit for bit). Runtime-togglable via
-// Control("frontend.enabled", bool).
-func WithFrontend(enabled bool) Option {
-	return func(c *core.Config) { c.FrontEnd = enabled }
-}
-
 // WithMagazineObjects sets the per-size-class magazine capacity of each
 // front-end stripe (default 0 = magazines off; clamped to the
 // frontend.magazine_objects bounds). With magazines on, scalar
@@ -426,13 +416,12 @@ func WithOOMBackpressure(enabled bool) Option {
 }
 
 // Allocator is a Mesh heap, safe for concurrent use by any number of
-// goroutines. Each call transparently borrows a pooled thread heap; see
-// the package comment for the concurrency model and NewThread for the
-// explicit fast path.
+// goroutines. Each call transparently takes the thread heap cached on its
+// goroutine's front-end stripe; see the package comment for the
+// concurrency model and NewThread for the explicit fast path.
 type Allocator struct {
 	g      *core.GlobalHeap
 	nextID atomic.Uint64
-	pool   *heapPool
 	front  *frontend.Cache
 	daemon *meshd.Daemon
 }
@@ -445,8 +434,7 @@ func New(opts ...Option) *Allocator {
 		o(&cfg)
 	}
 	a := &Allocator{g: core.NewGlobalHeap(cfg)}
-	a.pool = newHeapPool(a.g, &a.nextID)
-	a.front = frontend.NewCache(a.g, cfg.FrontEnd, cfg.MagazineObjects, a.pool.acquire, a.pool.release)
+	a.front = frontend.NewCache(a.g, cfg.MagazineObjects, &a.nextID)
 	a.daemon = meshd.New(a.g, meshd.Config{})
 	if cfg.BackgroundMeshing {
 		a.daemon.Start()
@@ -455,45 +443,34 @@ func New(opts ...Option) *Allocator {
 }
 
 // Close stops the background meshing daemon (waiting out any in-flight
-// pass) and relinquishes every cached heap — front-end stripes first
-// (magazines flush, their heaps return to the pool), then every idle
-// pooled heap, like Flush. The allocator remains fully usable afterwards
-// — meshing simply reverts to the inline foreground mode — so Close is
-// the quiesce point, not a destructor. Safe to call multiple times and
-// concurrently with allocator traffic.
+// pass) and relinquishes every cached heap like Flush. The allocator
+// remains fully usable afterwards — meshing simply reverts to inline
+// passes on the freeing goroutine — so Close is the quiesce point, not a
+// destructor. Safe to call multiple times and concurrently with allocator
+// traffic.
 func (a *Allocator) Close() error {
 	a.daemon.Stop()
-	return errors.Join(a.front.Flush(), a.pool.flush())
+	return a.front.Flush()
 }
 
 // Malloc allocates size bytes.
 func (a *Allocator) Malloc(size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Malloc(size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Malloc(size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.Malloc(size)
-	a.pool.release(th)
 	return p, err
 }
 
 // Free releases an object allocated by any goroutine or Thread of this
 // allocator.
 func (a *Allocator) Free(p Ptr) error {
-	if f, ok := a.front.Acquire(); ok {
-		err := f.Free(p)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return err
+	f := a.front.Acquire()
+	err := f.Free(p)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	err := th.Free(p)
-	a.pool.release(th)
 	return err
 }
 
@@ -509,19 +486,13 @@ func (a *Allocator) Write(p Ptr, data []byte) error { return a.g.OS().Write(p, d
 // meshing write barrier.
 func (a *Allocator) Memset(p Ptr, v byte, n int) error { return a.g.OS().Memset(p, v, n) }
 
-// Mesh forces a full compaction pass and returns the number of physical
-// spans released. Applications can call this at quiescent points; normally
-// meshing also triggers automatically — inline on frees in foreground
-// mode, or on the daemon's schedule in background mode — rate limited by
-// the mesh period (§4.5). While the daemon is running, the pass runs
-// through the incremental engine so explicit compaction also honors the
-// max-pause bound.
-func (a *Allocator) Mesh() int {
-	if a.daemon.Running() {
-		return a.daemon.RunPass()
-	}
-	return a.g.Mesh()
-}
+// Mesh runs a full compaction pass on the caller's goroutine and returns
+// the number of physical spans released. Applications can call this at
+// quiescent points; normally meshing also triggers automatically — inline
+// on frees, or on the daemon's schedule with background meshing on — rate
+// limited by the mesh period (§4.5). It is the same pass either way, so
+// explicit compaction also honors the mesh.max_pause bound.
+func (a *Allocator) Mesh() int { return a.g.Mesh() }
 
 // Stats returns a snapshot of allocator state.
 func (a *Allocator) Stats() Stats { return a.g.Stats() }
@@ -541,15 +512,15 @@ func (a *Allocator) RSS() int64 { return a.g.OS().RSS() }
 // Flush relinquishes every cached heap's attached spans to the global
 // heap, making them meshing candidates: front-end stripes drain first
 // (magazines flush their cached objects, restoring exact
-// application-level accounting) and their heaps join the pool, then
-// every idle pooled heap detaches. Heaps held by calls in flight are
-// unaffected and the allocator remains fully usable. Call it at
-// quiescent points (before a final Mesh, or when a traffic burst ends)
-// — the stripes and pool repopulate on demand.
-func (a *Allocator) Flush() error { return errors.Join(a.front.Flush(), a.pool.flush()) }
+// application-level accounting), then every heap on the overflow stack
+// detaches. Heaps held by calls in flight are unaffected and the
+// allocator remains fully usable. Call it at quiescent points (before a
+// final Mesh, or when a traffic burst ends) — the stripes repopulate on
+// demand.
+func (a *Allocator) Flush() error { return a.front.Flush() }
 
 // Thread is a per-worker heap handle (the paper's thread-local heap),
-// pinning one internal heap instead of borrowing from the pool per call.
+// pinning one internal heap instead of taking a front-end heap per call.
 // A Thread must be used from one goroutine at a time; distinct Threads —
 // and concurrent Allocator calls — may be used in parallel. Close
 // relinquishes its spans to the global heap, making them meshing

@@ -75,8 +75,9 @@ func TestWriteMetricsCoversEveryReadableKey(t *testing.T) {
 		t.Errorf("allocs/frees: got %v/%v, want 1/1", got["mesh_stats_allocs"], got["mesh_stats_frees"])
 	}
 	// Two Allocator-level calls: the first misses the empty stripe and
-	// borrows from the pool, the second hits the cached front — so exactly
-	// one pool borrow and no return (the heap stays parked on the stripe).
+	// creates a heap, the second hits the cached front — so exactly one
+	// borrow (stripe miss) and no return (the heap stays parked on the
+	// stripe, never on the overflow stack).
 	if got["mesh_stats_pool_borrows"] != 1 || got["mesh_stats_pool_returns"] != 0 {
 		t.Errorf("pool hand-offs: got %v/%v, want 1/0",
 			got["mesh_stats_pool_borrows"], got["mesh_stats_pool_returns"])
