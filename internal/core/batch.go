@@ -7,13 +7,14 @@ import (
 	"repro/internal/sizeclass"
 )
 
-// This file implements the batched hot-path operations. They exist to
-// amortize per-call overhead for heavy-traffic callers: one front-end heap
-// hand-off, one pair of atomic accounting updates, and (for non-local
-// frees) one shard-lock acquisition per size class present in the batch
-// cover a whole batch instead of one operation each. The allocation policy
-// is identical to the scalar path — every object still comes off a shuffle
-// vector in randomized order.
+// This file implements the batched hot-path operations. They run the same
+// per-object steps as the scalar path — allocSlot for each allocation,
+// freeLocal then tryQueueRemote for each free, with the same hardening
+// checks, fault sites and trace events — and amortize only what lies
+// around them: one front-end heap hand-off, one pair of atomic accounting
+// updates for the local allocations or frees of a whole batch, and one
+// shard-lock acquisition per size class for the frees that reach the
+// global heap.
 
 // MallocBatch allocates one object per entry of sizes, appending the
 // resulting addresses to out (which may be nil) and returning the extended
@@ -27,59 +28,48 @@ func (t *ThreadHeap) MallocBatch(sizes []int, out []uint64) ([]uint64, error) {
 	start := len(out)
 	var bytes int64
 	var n uint64
-	flush := func() {
-		t.localAllocs.Add(n)
-		t.global.noteAllocN(bytes, n)
-	}
 	for _, size := range sizes {
+		var addr uint64
+		var err error
 		class, ok := t.allocClassFor(size)
-		if !ok {
-			if size <= 0 {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], fmt.Errorf("core: invalid allocation size %d", size)
+		switch {
+		case ok:
+			if addr, err = t.allocSlot(class); err == nil {
+				bytes += int64(sizeclass.Size(class))
+				n++
 			}
+		case size <= 0:
+			err = fmt.Errorf("core: invalid allocation size %d", size)
+		default:
 			// Large objects account for themselves inside AllocLarge.
-			addr, err := t.global.AllocLarge(size)
-			if err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-			out = append(out, addr)
-			continue
+			addr, err = t.global.AllocLarge(size)
 		}
-		sv := t.svs[class]
-		for sv.IsExhausted() {
-			if err := t.refill(class); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
+		if err != nil {
+			return t.endMallocBatch(out, start, bytes, n, err)
 		}
-		off, _ := sv.Malloc()
-		mh := t.attached[class]
-		if mh.Hardened() {
-			if err := t.hardenAlloc(class, mh, off); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-		}
-		out = append(out, mh.AddrOf(off))
-		bytes += int64(sizeclass.Size(class))
-		n++
+		out = append(out, addr)
 	}
-	flush()
+	return t.endMallocBatch(out, start, bytes, n, nil)
+}
+
+// endMallocBatch publishes a malloc batch's coalesced accounting — n
+// small objects totalling bytes — and, when err is non-nil, frees every
+// object the batch appended past start, so batches are all-or-nothing.
+func (t *ThreadHeap) endMallocBatch(out []uint64, start int, bytes int64, n uint64, err error) ([]uint64, error) {
+	t.localAllocs.Add(n)
+	t.global.noteAllocN(bytes, n)
+	if err != nil {
+		_ = t.FreeBatch(out[start:])
+		return out[:start], err
+	}
 	return out, nil
 }
 
-// FreeBatch releases every object in addrs. Frees local to this heap's
-// attached spans are handled by the shuffle vectors with one accounting
-// update for the whole batch; frees of objects on spans attached to other
-// live heaps are message-passed to the owners' lock-free queues, coalesced
-// into segments by owner (remote.go) — no shard lock at all; the remainder
-// goes to the global heap in a single FreeBatch call, which partitions by
+// FreeBatch releases every object in addrs. Each address takes the scalar
+// Free's route — the shuffle vector (or quarantine) when local, the
+// owner's lock-free queue when its span is attached to another live heap
+// — with the local frees accounted once for the whole batch. The
+// remainder goes to the global heap in a single call, which partitions by
 // owning size class and takes each shard lock once for the whole batch.
 // Errors on individual addresses are joined; valid addresses in the same
 // batch are still freed.
@@ -87,27 +77,21 @@ func (t *ThreadHeap) FreeBatch(addrs []uint64) error {
 	var errs []error
 	var bytes int64
 	var n uint64
-	nonLocal := t.scratch[:0]
+	rest := t.scratch[:0]
 	owners := t.ownerScratch[:0]
-	quarOn := t.global.harden.QuarantineEnabled()
 	for _, addr := range addrs {
-		if quarOn {
-			if handled, qerr := t.quarantineLocal(addr); handled {
-				if qerr != nil {
-					errs = append(errs, qerr)
-				}
-				continue
-			}
-		}
-		size, ok, owner, err := t.freeLocal(addr)
+		size, how, owner, err := t.freeLocal(addr)
 		switch {
 		case err != nil:
 			errs = append(errs, err)
-		case ok:
+		case how == freedLocal:
 			bytes += int64(size)
 			n++
+		case how == freeParked:
+			// Accounted when the quarantine settles it.
+		case t.tryQueueRemote(addr, owner):
 		default:
-			nonLocal = append(nonLocal, addr)
+			rest = append(rest, addr)
 			owners = append(owners, owner)
 		}
 	}
@@ -115,17 +99,13 @@ func (t *ThreadHeap) FreeBatch(addrs []uint64) error {
 		t.localFrees.Add(n)
 		t.global.noteLocalFreeN(bytes, n)
 	}
-	allOwners := owners // full-length view for the post-batch clear
-	if len(nonLocal) > 0 && t.global.remoteEnabled.Load() {
-		nonLocal, owners = t.queueRemoteBatch(nonLocal, owners)
-	}
-	if len(nonLocal) > 0 {
-		if err := t.global.freeBatchResolved(nonLocal, owners); err != nil {
+	if len(rest) > 0 {
+		if err := t.global.freeBatchResolved(rest, owners); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	t.scratch = nonLocal[:0]
-	clear(allOwners) // don't pin destroyed MiniHeaps between batches
-	t.ownerScratch = allOwners[:0]
+	t.scratch = rest[:0]
+	clear(owners) // don't pin destroyed MiniHeaps between batches
+	t.ownerScratch = owners[:0]
 	return errors.Join(errs...)
 }

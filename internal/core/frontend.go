@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sizeclass"
-	"repro/internal/trace"
 )
 
 // This file carries the ThreadHeap entry points the per-stripe front end
@@ -27,49 +26,24 @@ func (t *ThreadHeap) AllocClass(size int) (int, bool) {
 // MallocClassBatch allocates n objects from exactly size class class,
 // appending their addresses to out (which must have capacity; the front
 // end passes a view of its fixed magazine array) and returning the
-// extended slice. It is the magazine-fill engine: the shuffle-vector
-// policy, hardening checks, and refill drain points are identical to
-// Malloc, but the accounting updates are coalesced to one pair of atomics
-// for the whole batch. All-or-nothing like MallocBatch: on error every
-// object already allocated by this call is freed again.
+// extended slice. It is the magazine-fill engine: each object comes from
+// allocSlot like a scalar Malloc's — same shuffle-vector policy, hardening
+// checks, refill drain points and sampled alloc event — but the
+// accounting updates are coalesced to one pair of atomics for the whole
+// batch. All-or-nothing like MallocBatch: on error every object already
+// allocated by this call is freed again.
 func (t *ThreadHeap) MallocClassBatch(class, n int, out []uint64) ([]uint64, error) {
 	if class < 0 || class >= sizeclass.NumClasses {
 		return out, fmt.Errorf("core: invalid size class %d", class)
 	}
 	start := len(out)
-	var done uint64
-	flush := func() {
-		t.localAllocs.Add(done)
-		t.global.noteAllocN(int64(done)*int64(sizeclass.Size(class)), done)
-	}
-	sv := t.svs[class]
+	size := int64(sizeclass.Size(class))
 	for i := 0; i < n; i++ {
-		for sv.IsExhausted() {
-			if err := t.refill(class); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
+		addr, err := t.allocSlot(class)
+		if err != nil {
+			return t.endMallocBatch(out, start, int64(i)*size, uint64(i), err)
 		}
-		off, _ := sv.Malloc()
-		mh := t.attached[class]
-		if mh.Hardened() {
-			// The fill boundary is where hardened magazines pay their
-			// checks: poison verified and canary armed per object, exactly
-			// as a scalar Malloc would.
-			if err := t.hardenAlloc(class, mh, off); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-		}
-		addr := mh.AddrOf(off)
 		out = append(out, addr)
-		done++
-		// Magazine-served objects never pass the scalar Malloc, so this
-		// is their only chance to land in the sampled alloc stream.
-		t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
 	}
-	flush()
-	return out, nil
+	return t.endMallocBatch(out, start, int64(n)*size, uint64(n), nil)
 }

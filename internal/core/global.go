@@ -99,10 +99,6 @@ type Config struct {
 	// TraceSampleRate is the 1-in-n sampling of alloc/free trace events;
 	// 0 keeps the recorder default. Runtime-tunable via trace.sample_rate.
 	TraceSampleRate int
-	// TraceBufferEvents is the per-source trace ring capacity in events;
-	// 0 keeps the recorder default. Runtime-tunable via
-	// trace.buffer_events (applies to rings created afterwards).
-	TraceBufferEvents int
 	// FaultPlan arms the fault-injection plane with a plan spec (see
 	// internal/faultinject for the grammar) and enables it. Empty (the
 	// default) leaves the plane disabled; an invalid spec panics in
@@ -522,9 +518,6 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	g.tracer = trace.NewRecorder(clock)
 	if cfg.TraceSampleRate > 0 {
 		g.tracer.SetSampleRate(int64(cfg.TraceSampleRate))
-	}
-	if cfg.TraceBufferEvents > 0 {
-		g.tracer.SetBufferEvents(int64(cfg.TraceBufferEvents))
 	}
 	g.tracer.SetEnabled(cfg.TraceEnabled)
 	g.trEngine = g.tracer.NewSource(trace.SrcEngine)
@@ -1108,26 +1101,16 @@ func (g *GlobalHeap) freeLargeLocked(addr uint64) (bool, error) {
 	return true, nil
 }
 
-// noteAlloc records a small-object allocation by a thread heap.
-func (g *GlobalHeap) noteAlloc(objSize int) {
-	g.liveBytes.Add(int64(objSize))
-	g.allocs.Add(1)
-}
-
-// noteAllocN records n small-object allocations totalling bytes in two
-// atomic operations — the accounting half of the batch malloc path.
+// noteAllocN records n small-object allocations by a thread heap,
+// totalling bytes, in two atomic operations; the batch malloc paths
+// coalesce a whole batch into one call.
 func (g *GlobalHeap) noteAllocN(bytes int64, n uint64) {
 	g.liveBytes.Add(bytes)
 	g.allocs.Add(n)
 }
 
-// noteLocalFree records a free handled entirely by a thread heap.
-func (g *GlobalHeap) noteLocalFree(objSize int) {
-	g.liveBytes.Add(int64(-objSize))
-	g.frees.Add(1)
-}
-
-// noteLocalFreeN records n thread-local frees totalling bytes.
+// noteLocalFreeN records n frees handled entirely by a thread heap,
+// totalling bytes.
 func (g *GlobalHeap) noteLocalFreeN(bytes int64, n uint64) {
 	g.liveBytes.Add(-bytes)
 	g.frees.Add(n)

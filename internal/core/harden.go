@@ -495,32 +495,6 @@ func (t *ThreadHeap) drainHardened(c int, mh *miniheap.MiniHeap, s *remoteSeg, c
 	return settled
 }
 
-// quarantineLocal diverts a hardened local free into the delayed-reuse
-// ring instead of the shuffle vector: the slot is verified and poisoned
-// exactly like a direct local free, then parked — bitmap bit still set,
-// accounting deferred — until evicted or drained. handled reports whether
-// this path consumed the free; false falls through to the normal path
-// (non-local address, unhardened span, or no physical window).
-func (t *ThreadHeap) quarantineLocal(addr uint64) (handled bool, err error) {
-	mh := t.global.arena.Lookup(addr)
-	if mh == nil || mh.IsLarge() || !mh.Hardened() {
-		return false, nil
-	}
-	c := mh.SizeClass()
-	if t.attached[c] != mh || t.phys[c] == nil {
-		return false, nil
-	}
-	off, oerr := mh.OffsetOf(addr)
-	if oerr != nil {
-		return true, oerr
-	}
-	if herr := t.hardenFreeLocal(c, mh, off, addr); herr != nil {
-		return true, herr
-	}
-	t.quarPark(addr, false)
-	return true, nil
-}
-
 // quarPark parks one poisoned free in the quarantine ring, settling the
 // oldest resident first when the ring is full — quarantine delays reuse,
 // it never refuses a free.
@@ -558,7 +532,7 @@ func (t *ThreadHeap) settleQuarantined(entry uint64) {
 				t.svs[c].Free(off)
 				if !pre {
 					t.localFrees.Add(1)
-					g.noteLocalFree(mh.ObjectSize())
+					g.noteLocalFreeN(int64(mh.ObjectSize()), 1)
 				}
 				return
 			}

@@ -31,15 +31,13 @@ type ThreadHeap struct {
 	svs      [sizeclass.NumClasses]*shufflevec.Vector
 	attached [sizeclass.NumClasses]*miniheap.MiniHeap
 
-	// scratch and ownerScratch back FreeBatch's non-local partition
+	// scratch and ownerScratch back FreeBatch's global-heap remainder
 	// between calls so the batch path stays allocation free: addresses and
 	// the page-map owners freeLocal resolved for them, passed to the
-	// global heap so batch routing needs no second lookup. offScratch
-	// backs queueRemoteBatch's slot-index runs the same way. Owned by
+	// global heap so batch routing needs no second lookup. Owned by
 	// whoever owns the heap.
 	scratch      []uint64
 	ownerScratch []*miniheap.MiniHeap
-	offScratch   []int
 
 	// remote is this heap's MPSC remote-free queue (see remote.go): other
 	// threads post frees of objects on our attached spans here instead of
@@ -100,6 +98,34 @@ func (t *ThreadHeap) Malloc(size int) (uint64, error) {
 	return t.mallocFromClass(class)
 }
 
+// allocSlot hands out one object of class — the malloc step of §4.3
+// (Figure 4) that every small-object entry point shares: refill the
+// shuffle vector while it is exhausted, pop a slot, run the hardened
+// allocation check, and emit the sampled alloc event. Accounting is left
+// to the caller, so batch callers can coalesce it.
+func (t *ThreadHeap) allocSlot(class int) (uint64, error) {
+	sv := t.svs[class]
+	for sv.IsExhausted() {
+		if err := t.refill(class); err != nil {
+			return 0, err
+		}
+	}
+	off, _ := sv.Malloc()
+	mh := t.attached[class]
+	if mh.Hardened() {
+		// Verify the slot's poison fill survived and arm its canary. On
+		// violation the span is retired (the reserved slot returned first)
+		// and the allocation fails typed; the caller's next attempt refills
+		// onto a fresh span.
+		if err := t.hardenAlloc(class, mh, off); err != nil {
+			return 0, err
+		}
+	}
+	addr := mh.AddrOf(off)
+	t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
+	return addr, nil
+}
+
 // refill restocks an exhausted shuffle vector (§3.1). It first drains the
 // remote-free queue: frees posted by other threads for the still-attached
 // span land straight back on the vector, so a producer–consumer pipeline
@@ -148,26 +174,23 @@ func (t *ThreadHeap) refill(class int) error {
 
 // Free releases the object at addr. Frees of objects in one of this
 // thread's attached spans are handled locally by the shuffle vector
-// (Figure 4). Frees of objects on spans attached to *another* live heap
+// (Figure 4), or parked in the quarantine ring when harden.quarantine is
+// on. Frees of objects on spans attached to *another* live heap
 // are message-passed: posted to the owner's lock-free queue (remote.go)
 // for it to recycle at its next drain point — no shard lock taken.
 // Everything else is passed to the global heap (§3.2), reusing the owner
 // freeLocal already resolved so a remote free pays one routing lookup,
 // not two.
 func (t *ThreadHeap) Free(addr uint64) error {
-	if t.global.harden.QuarantineEnabled() {
-		if handled, qerr := t.quarantineLocal(addr); handled {
-			return qerr
-		}
-	}
-	size, ok, owner, err := t.freeLocal(addr)
-	if err != nil {
+	size, how, owner, err := t.freeLocal(addr)
+	switch {
+	case err != nil:
 		return err
-	}
-	if ok {
+	case how == freedLocal:
 		t.localFrees.Add(1)
-		t.global.noteLocalFree(size)
-		t.tr.Sampled(trace.EvFree, addr, uint64(size))
+		t.global.noteLocalFreeN(int64(size), 1)
+		return nil
+	case how == freeParked:
 		return nil
 	}
 	if t.tryQueueRemote(addr, owner) {
@@ -176,13 +199,32 @@ func (t *ThreadHeap) Free(addr uint64) error {
 	return t.global.freeResolved(addr, owner)
 }
 
+// freeOutcome is how freeLocal settled one free.
+type freeOutcome uint8
+
+const (
+	// freeNotLocal: the address is not on an attached span; the caller
+	// routes it through the returned owner.
+	freeNotLocal freeOutcome = iota
+	// freedLocal: the slot is back on the shuffle vector; the caller
+	// accounts the returned object size.
+	freedLocal
+	// freeParked: the hardened free was parked in the quarantine ring;
+	// accounting is deferred to its settlement, so the caller counts
+	// nothing.
+	freeParked
+)
+
 // freeLocal attempts the shuffle-vector fast path: if addr lies in one of
 // this heap's attached spans, the offset is pushed back onto the class's
-// shuffle vector and the object size is returned for accounting. ok is
-// false when the address is not local; owner is then the (possibly nil,
-// possibly stale) MiniHeap the page map resolved, so the caller can route
-// the free to the right shard without a second lookup. err reports an
-// interior or out-of-range pointer inside an attached span.
+// shuffle vector, the sampled free event is emitted, and the object size
+// is returned for accounting. With harden.quarantine on, a hardened free
+// that passes its checks is parked in the delayed-reuse ring instead
+// (freeParked). Otherwise the outcome is freeNotLocal and owner is the
+// (possibly nil, possibly stale) MiniHeap the page map resolved, so the
+// caller can route the free to the right shard without a second lookup.
+// err reports an interior or out-of-range pointer inside an attached
+// span, or a failed hardened check.
 //
 // The owner is resolved through the arena's lock-free page map — two
 // atomic loads — instead of probing all NumClasses attached slots (and
@@ -195,26 +237,33 @@ func (t *ThreadHeap) Free(addr uint64) error {
 // re-resolves under the owning shard lock.
 //
 //mesh:lockfree
-func (t *ThreadHeap) freeLocal(addr uint64) (objSize int, ok bool, owner *miniheap.MiniHeap, err error) {
+func (t *ThreadHeap) freeLocal(addr uint64) (objSize int, how freeOutcome, owner *miniheap.MiniHeap, err error) {
 	mh := t.global.arena.Lookup(addr)
 	if mh == nil || mh.IsLarge() {
-		return 0, false, mh, nil
+		return 0, freeNotLocal, mh, nil
 	}
 	c := mh.SizeClass()
 	if t.attached[c] != mh {
-		return 0, false, mh, nil
+		return 0, freeNotLocal, mh, nil
 	}
 	off, err := mh.OffsetOf(addr)
 	if err != nil {
-		return 0, false, mh, err
+		return 0, freeNotLocal, mh, err
 	}
 	if mh.Hardened() {
 		if herr := t.hardenFreeLocal(c, mh, off, addr); herr != nil {
-			return 0, false, mh, herr
+			return 0, freeNotLocal, mh, herr
+		}
+		if t.phys[c] != nil && t.global.harden.QuarantineEnabled() {
+			// Verified and poisoned like any hardened free; parked with
+			// its bitmap bit still set until evicted or drained.
+			t.quarPark(addr, false) //mesh:slowpath — a full ring settles its oldest resident through the free path
+			return 0, freeParked, mh, nil
 		}
 	}
 	t.svs[c].Free(off)
-	return mh.ObjectSize(), true, mh, nil
+	t.tr.Sampled(trace.EvFree, addr, uint64(mh.ObjectSize()))
+	return mh.ObjectSize(), freedLocal, mh, nil
 }
 
 // Done relinquishes every attached span back to the global heap; call it

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/sizeclass"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -109,29 +108,14 @@ func (t *ThreadHeap) AlignedAlloc(align, size int) (uint64, error) {
 }
 
 // mallocFromClass allocates one object from an explicit size class; the
-// shuffle-vector fast path shared with Malloc.
+// scalar path shared with Malloc.
 func (t *ThreadHeap) mallocFromClass(class int) (uint64, error) {
-	sv := t.svs[class]
-	for sv.IsExhausted() {
-		if err := t.refill(class); err != nil {
-			return 0, err
-		}
-	}
-	off, _ := sv.Malloc()
-	mh := t.attached[class]
-	if mh.Hardened() {
-		// Verify the slot's poison fill survived and arm its canary. On
-		// violation the span is retired (the reserved slot returned first)
-		// and the allocation fails typed; the caller's next attempt refills
-		// onto a fresh span.
-		if err := t.hardenAlloc(class, mh, off); err != nil {
-			return 0, err
-		}
+	addr, err := t.allocSlot(class)
+	if err != nil {
+		return 0, err
 	}
 	t.localAllocs.Add(1)
-	t.global.noteAlloc(sizeclass.Size(class))
-	addr := mh.AddrOf(off)
-	t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
+	t.global.noteAllocN(int64(sizeclass.Size(class)), 1)
 	return addr, nil
 }
 

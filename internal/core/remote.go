@@ -20,6 +20,11 @@ import (
 // lookup), one atomic owner load, and a reserve/commit pair of atomic
 // increments on the head segment: zero locks, no shard ping-pong, which is
 // what lets producer–consumer pipelines scale past the shard-lock ceiling.
+// tryQueueRemote is the one enqueue path: Free calls it for a non-local
+// free and FreeBatch for each non-local entry, so both run the same
+// owner check, fault site, accounting and trace event per object; a batch
+// needs no separate enqueue because consecutive pushes for one span
+// already fill the same head segment.
 //
 // Protocol invariants (see also the lock-hierarchy comment in global.go):
 //
@@ -148,21 +153,6 @@ func (q *remoteQueue) PushRemote(mh *miniheap.MiniHeap, off int) bool {
 			return true
 		}
 	}
-}
-
-// PushRemoteBatch implements miniheap.RemoteSink: post a batch of
-// allocated slots of one MiniHeap, returning how many were accepted.
-// Entries coalesce into the head segment exactly like scalar pushes, so
-// a batch fills segments to capacity as it goes.
-//
-//mesh:lockfree
-func (q *remoteQueue) PushRemoteBatch(mh *miniheap.MiniHeap, offs []int) int {
-	for i, off := range offs {
-		if !q.PushRemote(mh, off) {
-			return i
-		}
-	}
-	return len(offs)
 }
 
 // take removes and returns every queued segment, leaving the queue open.
@@ -331,60 +321,4 @@ func (t *ThreadHeap) tryQueueRemote(addr uint64, mh *miniheap.MiniHeap) bool {
 	}
 	t.tr.Event(trace.EvRemotePush, addr, uint64(mh.ObjectSize()))
 	return true
-}
-
-// queueRemoteBatch queues every batch entry whose span has a live owner
-// sink, coalescing runs of addresses that share an owner into segments,
-// and returns the remaining (addr, owner) pairs — compacted in place — for
-// the shard-locked batch path. Shared scratch with FreeBatch keeps the
-// pass allocation-free apart from the queue segments themselves.
-func (t *ThreadHeap) queueRemoteBatch(addrs []uint64, owners []*miniheap.MiniHeap) ([]uint64, []*miniheap.MiniHeap) {
-	out := 0
-	i := 0
-	for i < len(addrs) {
-		mh := owners[i]
-		var sink miniheap.RemoteSink
-		if mh != nil && !mh.IsLarge() {
-			sink = mh.Owner()
-		}
-		if sink == nil {
-			addrs[out], owners[out] = addrs[i], owners[i]
-			out++
-			i++
-			continue
-		}
-		// Collect the run of addresses owned by mh with valid slot
-		// indices; the first invalid address ends the run and is retried
-		// (and rejected with a proper error) by the locked path.
-		offs := t.offScratch[:0]
-		runStart := i
-		for i < len(addrs) && owners[i] == mh {
-			off, err := mh.OffsetOf(addrs[i])
-			if err != nil {
-				break
-			}
-			offs = append(offs, off)
-			i++
-		}
-		t.offScratch = offs
-		if len(offs) == 0 {
-			addrs[out], owners[out] = addrs[i], owners[i]
-			out++
-			i++
-			continue
-		}
-		// Pre-account the whole run (see noteRemoteQueued), then unwind
-		// whatever the sink rejected; the remainder re-accounts on the
-		// locked path.
-		t.global.noteRemoteQueued(int64(len(offs)*mh.ObjectSize()), uint64(len(offs)))
-		accepted := sink.PushRemoteBatch(mh, offs)
-		if rejected := len(offs) - accepted; rejected > 0 {
-			t.global.noteRemoteUnqueued(int64(rejected*mh.ObjectSize()), uint64(rejected))
-		}
-		for k := runStart + accepted; k < runStart+len(offs); k++ {
-			addrs[out], owners[out] = addrs[k], owners[k]
-			out++
-		}
-	}
-	return addrs[:out], owners[:out]
 }

@@ -511,8 +511,10 @@ func (f *Front) slowFree(class int, addr uint64) error {
 }
 
 // flushMagazine releases the oldest k cached objects of class through
-// the batch free path (remote queues and shard locks, hardening poison
-// and quarantine — the full protocol, once per batch).
+// the batch free path. Each object takes the scalar free's steps —
+// shuffle vector or remote queue, hardening poison and quarantine, and
+// the sampled free event with its object size — and the frees that reach
+// the global heap take each shard lock once per batch.
 func (f *Front) flushMagazine(class, k int) error {
 	m := &f.mags[class]
 	if k > m.n {
@@ -520,11 +522,6 @@ func (f *Front) flushMagazine(class, k int) error {
 	}
 	if k <= 0 {
 		return nil
-	}
-	// Magazine-parked objects skipped the scalar free's sampled trace
-	// emission; the flush is their only chance to enter the free stream.
-	for _, addr := range m.objs[:k] {
-		f.c.tr.Sampled(trace.EvFree, addr, 0)
 	}
 	err := f.th.FreeBatch(m.objs[:k])
 	copy(m.objs, m.objs[k:m.n])

@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -289,20 +288,20 @@ func TestMagazineAccountingBalancesAtQuiescence(t *testing.T) {
 	}
 }
 
-// onOtherStripe runs fn on a goroutine whose stack sits on a different
-// stripe than avoid, recursing through padded frames until the stack
-// pointer has moved to a page that hashes elsewhere.
-func onOtherStripe(avoid int, fn func()) {
+// onOtherStripe runs fn on a fresh goroutine, recursing through padded
+// frames until fn reports that it got off the stripe it must avoid. fn
+// checks the stripe itself: it runs a frame deeper than descend (and what
+// it calls deeper still), so a stack page descend sees hashing elsewhere
+// says nothing about fn's own.
+func onOtherStripe(fn func() bool) {
 	done := make(chan struct{})
 	var descend func(depth int)
 	descend = func(depth int) {
 		var pad [1024]byte
-		if stripeOf() == avoid && depth < 256 {
+		if !fn() && depth < 256 {
 			descend(depth + 1)
 			pad[depth%len(pad)]++
-			return
 		}
-		fn()
 	}
 	go func() {
 		defer close(done)
@@ -333,15 +332,28 @@ func TestCachedObjectsCountsMigratedFrontOnce(t *testing.T) {
 	}
 	f = c.Acquire() // hit: empties the home stripe
 	var rerr error
-	onOtherStripe(home, func() {
+	onOtherStripe(func() bool {
 		if stripeOf() == home {
-			rerr = errors.New("could not leave the home stripe")
-			return
+			return false
 		}
-		rerr = c.Release(f)
+		if rerr = c.Release(f); rerr != nil {
+			return true
+		}
+		// Release hashes its own frame, which can land back on home:
+		// take the front back and try from deeper down.
+		return !c.stripes[home].slot.CompareAndSwap(f, nil)
 	})
 	if rerr != nil {
 		t.Fatal(rerr)
+	}
+	parkedOn := -1
+	for i := range c.stripes {
+		if c.stripes[i].slot.Load() == f {
+			parkedOn = i
+		}
+	}
+	if parkedOn < 0 || parkedOn == home {
+		t.Fatalf("front parked on stripe %d, want a stripe other than home %d", parkedOn, home)
 	}
 	if got := c.CachedObjects(); got != want {
 		t.Fatalf("migrated front: CachedObjects=%d, want %d (front.cached=%d)", got, want, f.cached)

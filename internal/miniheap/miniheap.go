@@ -24,21 +24,15 @@ import (
 // RemoteSink accepts message-passed remote frees on behalf of the thread
 // heap that currently has a MiniHeap attached (the lock-free free queues of
 // the core package). Implementations must be safe for concurrent use by any
-// number of pushers. A false return means the sink is closed (the owner is
-// relinquishing its spans); the caller must fall back to the global heap's
-// locked free path.
+// number of pushers. Scalar and batch frees alike post one slot at a time.
+// A false return means the sink is closed (the owner is relinquishing its
+// spans); the caller must fall back to the global heap's locked free path.
 type RemoteSink interface {
 	// PushRemote posts one allocated slot of mh for the owning heap to
 	// recycle on its own schedule.
 	//
 	//mesh:lockfree
 	PushRemote(mh *MiniHeap, off int) bool
-	// PushRemoteBatch posts a batch of allocated slots of mh, returning how
-	// many were accepted; slots past the returned count were rejected
-	// because the sink closed mid-batch.
-	//
-	//mesh:lockfree
-	PushRemoteBatch(mh *MiniHeap, offs []int) int
 }
 
 // MiniHeap is the metadata record for one physical span. Bitmap operations

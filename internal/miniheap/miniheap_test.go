@@ -315,10 +315,6 @@ func BenchmarkOffsetOfHardwareDivide(b *testing.B) {
 type fakeSink struct{ pushed int }
 
 func (f *fakeSink) PushRemote(*MiniHeap, int) bool { f.pushed++; return true }
-func (f *fakeSink) PushRemoteBatch(_ *MiniHeap, offs []int) int {
-	f.pushed += len(offs)
-	return len(offs)
-}
 
 func TestOwnerPublication(t *testing.T) {
 	mh := New(class16(t), vm.ArenaBase, 1)

@@ -40,9 +40,14 @@ type Kind uint8
 const (
 	// EvNone is the zero Kind; no event carries it.
 	EvNone Kind = iota
-	// EvAlloc: sampled small-object allocation. A=address, B=object size.
+	// EvAlloc: sampled small-object allocation, emitted by the thread
+	// heap for scalar and batch allocations alike (magazine fills
+	// included). A=address, B=object size.
 	EvAlloc
-	// EvFree: sampled thread-local free. A=address, B=object size.
+	// EvFree: sampled local free — an object pushed back onto its owning
+	// thread heap's shuffle vector — from scalar and batch frees alike
+	// (magazine flushes included). Remote and global-heap frees emit no
+	// EvFree. A=address, B=object size.
 	EvFree
 	// EvRemotePush: a free message-passed to the owner's queue.
 	// A=address, B=object size.

@@ -2,12 +2,12 @@ package mesh
 
 // The batch API amortizes per-call overhead for heavy-traffic callers: an
 // Allocator-level batch takes one stripe-cached heap for the whole batch
-// instead of per object, accounting atomics are coalesced, and non-local
-// frees take the global-heap lock once per batch instead of once per
-// object. Allocation
-// policy is unchanged — each object still comes off a shuffle vector in
-// randomized order, so batches are exactly as meshable as the equivalent
-// scalar calls.
+// instead of per object, the accounting atomics of its local operations
+// are coalesced, and frees that reach the global heap take each shard
+// lock once per batch instead of once per object. Each object still takes
+// the scalar call's steps — it comes off a shuffle vector in randomized
+// order, so batches are exactly as meshable as the equivalent scalar
+// calls, and a remote free is queued to its owner exactly as Free would.
 
 // MallocBatch allocates one object per entry of sizes using a single
 // heap acquisition. It is all-or-nothing: on error, objects allocated

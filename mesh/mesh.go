@@ -277,12 +277,6 @@ func WithMinMeshSavings(bytes int) Option {
 	return func(c *core.Config) { c.MinMeshSavings = bytes }
 }
 
-// WithSplitMesherT sets the per-span probe budget of the SplitMesher
-// algorithm (the paper uses t=64).
-func WithSplitMesherT(t int) Option {
-	return func(c *core.Config) { c.SplitMesherT = t }
-}
-
 // WithClock injects a Clock (e.g. a LogicalClock) for deterministic mesh
 // rate limiting.
 func WithClock(clk Clock) Option {
@@ -342,13 +336,6 @@ func WithTracing(enabled bool) Option {
 // Runtime-tunable via Control("trace.sample_rate", n).
 func WithTraceSampleRate(n int) Option {
 	return func(c *core.Config) { c.TraceSampleRate = n }
-}
-
-// WithTraceBufferEvents sets the per-source trace ring capacity in
-// events (default 4096, rounded up to a power of two). Runtime-tunable
-// via Control("trace.buffer_events", n) for rings created afterwards.
-func WithTraceBufferEvents(n int) Option {
-	return func(c *core.Config) { c.TraceBufferEvents = n }
 }
 
 // WithFaultPlan arms the deterministic fault-injection plane with a plan
